@@ -1,9 +1,12 @@
 #include "core/randomization.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "core/invariants.hpp"
 #include "core/moment_utils.hpp"
@@ -324,63 +327,63 @@ bool is_subtraction_free(const ScaledModel& scaled) {
                      [](double r) { return r >= 0.0; });
 }
 
-/// Finishes a MomentResult from the accumulated scaled sums: applies
-/// @p prefactor times the n! d^n factor, undoes the drift shift, and
-/// weights by @p initial. The prefactor is 1 for the plain solve and w_max
-/// for the terminal-weighted solve (undoing the seed normalization).
-/// @p epsilon is the Theorem-4 budget of the solve, used to scale the
-/// checked-build moment-consistency tolerance; @p jensen_applies must be
-/// false for terminal-weighted output, where V^(j) = E[B^j w(Z(t))] and
-/// Cauchy-Schwarz only yields V2 >= V1^2 for weights bounded by 1. Takes
-/// the scaling scalars rather than the model/ScaledModel pair so the
-/// retained-sweep finalize (which has no ScaledModel) runs the exact same
-/// code — per element the arithmetic chain is shared, which is what makes
-/// the session path bit-identical to the direct solvers.
-void finalize_result(std::span<const double> initial, double d, double shift,
-                     double t, double prefactor, double epsilon,
-                     bool jensen_applies, std::vector<linalg::Vec> scaled_sums,
-                     MomentResult& out) {
-  const std::size_t n = scaled_sums.size() - 1;
-  const std::size_t num_states = scaled_sums[0].size();
+/// Scratch for one row: registers at a compile-time size N, heap at N == 0.
+template <class T, std::size_t N>
+using RowBuf = std::conditional_t<N == 0, std::vector<T>, std::array<T, N>>;
 
-  // V_check^(j) = prefactor * j! d^j * scaled_sums[j]  (moments of the
-  // shifted model).
-  double factor = prefactor;  // prefactor * j! d^j
-  for (std::size_t j = 0; j <= n; ++j) {
-    if (j > 0) factor *= static_cast<double>(j) * d;
-    linalg::scale(factor, scaled_sums[j]);
+/// finalize_from_sweep's one row-major pass over @p acc into @p out (sized
+/// by the caller): per state, v = acc(i, j) * factor[j], the shift
+/// transform sum_k coef[j][k] * v_k (kShifted), per_state[j][i] = v and
+/// weighted[j] += pi_i * v. Each running sum adds the states left to right
+/// like linalg::dot, and -ffp-contract=off keeps every product and sum
+/// separately rounded, so the bits equal the column-wise scale, shift and
+/// dot passes of an independent solve. W is the compile-time width, so the
+/// row, the constants and the n + 1 sums live in registers; W == 0 takes
+/// the width from @p out.
+template <std::size_t W, bool kShifted>
+void finalize_rows(const linalg::Panel& acc, const double* factor_in,
+                   const double* coef_in, const double* initial,
+                   MomentResult& out) {
+  const std::size_t w = W == 0 ? out.weighted.size() : W;
+  RowBuf<double, W> factor{}, sums{};
+  RowBuf<double, W * W> coef{};
+  RowBuf<double*, W> cols{};
+  if constexpr (W == 0) {
+    factor.resize(w);
+    sums.resize(w);
+    coef.resize(w * w);
+    cols.resize(w);
   }
-
-  // Undo the drift shift per initial state: B(t) = B_check(t) + shift * t.
-  if (shift == 0.0) {
-    out.per_state = std::move(scaled_sums);
-  } else {
-    out.per_state.assign(n + 1, linalg::Vec(num_states, 0.0));
-    const double delta = shift * t;
-    std::vector<double> raw(n + 1);
-    for (std::size_t i = 0; i < num_states; ++i) {
-      for (std::size_t j = 0; j <= n; ++j) raw[j] = scaled_sums[j][i];
-      const auto shifted = shift_raw_moments(raw, delta);
-      for (std::size_t j = 0; j <= n; ++j) out.per_state[j][i] = shifted[j];
+  std::copy_n(factor_in, w, factor.begin());
+  if (kShifted) std::copy_n(coef_in, w * w, coef.begin());
+  for (std::size_t j = 0; j < w; ++j) cols[j] = out.per_state[j].data();
+  for (std::size_t i = 0; i < acc.rows(); ++i) {
+    const double* row = acc.data() + i * acc.width();
+    for (std::size_t j = 0; j < w; ++j) {
+      double v = row[j] * factor[j];
+      if constexpr (kShifted) {
+        // Recomputing row[k] * factor[k] (the same rounding each time)
+        // beats spilling a scaled-row array the compiler reloads unaligned.
+        v = 0.0;
+        for (std::size_t k = j + 1; k-- > 0;)
+          v += coef[j * w + k] * (row[k] * factor[k]);
+      }
+      cols[j][i] = v;
+      sums[j] += initial[i] * v;
     }
   }
-
-  out.weighted.resize(n + 1);
-  for (std::size_t j = 0; j <= n; ++j)
-    out.weighted[j] = linalg::dot(initial, out.per_state[j]);
-
-  if constexpr (check::kChecked) {
-    if (jensen_applies && out.per_state.size() >= 3) {
-      // The truncation error is epsilon per moment in scaled units; the
-      // prefactor and the shift transform amplify it.
-      const double delta = std::abs(shift) * t;
-      const double eff_eps =
-          epsilon * std::max(prefactor, 1.0) * (1.0 + delta) * (1.0 + delta);
-      check::check_moment_consistency(out.per_state[1], out.per_state[2],
-                                      eff_eps, "finalize_result");
-    }
-  }
+  std::copy(sums.begin(), sums.end(), out.weighted.begin());
 }
+
+/// finalize_rows by [shifted][width]: entry W for widths 1..8 (moment
+/// orders 0..7), entry 0 for wider panels.
+template <bool kShifted, std::size_t... W>
+constexpr auto finalize_rows_table(std::index_sequence<W...>) {
+  return std::array{&finalize_rows<W, kShifted>...};
+}
+constexpr std::array kFinalizeRows{
+    finalize_rows_table<false>(std::make_index_sequence<9>{}),
+    finalize_rows_table<true>(std::make_index_sequence<9>{})};
 
 /// The shared sweep body behind solve_multi, solve_terminal_weighted and
 /// sweep_retained: scales the model, computes per-time truncation points
@@ -839,7 +842,8 @@ MomentResult finalize_from_sweep(const RetainedSweep& sweep,
         std::to_string(initial.size()) + ", sweep has " +
         std::to_string(sweep.num_states()) + " states)");
 
-  const std::size_t n = max_moment;
+  const std::size_t width = max_moment + 1;
+  const std::size_t num_states = sweep.num_states();
   const linalg::Panel& acc = sweep.acc[time_index];
   MomentResult out;
   out.time = sweep.times[time_index];
@@ -848,24 +852,53 @@ MomentResult finalize_from_sweep(const RetainedSweep& sweep,
   out.shift = sweep.shift;
   out.center = sweep.center;
   out.stats = sweep.stats;
-
-  if (sweep.degenerate) {
-    // Closed-form panels already hold final per-state values.
-    out.per_state.resize(n + 1);
-    for (std::size_t j = 0; j <= n; ++j) out.per_state[j] = acc.col(j);
-    out.weighted.resize(n + 1);
-    for (std::size_t j = 0; j <= n; ++j)
-      out.weighted[j] = linalg::dot(initial, out.per_state[j]);
-    return out;
+  if (!sweep.degenerate) {
+    out.truncation_point = sweep.truncation_points[time_index];
+    out.error_bound = sweep.error_bounds[time_index];
   }
 
-  out.truncation_point = sweep.truncation_points[time_index];
-  out.error_bound = sweep.error_bounds[time_index];
-  std::vector<linalg::Vec> sums(n + 1);
-  for (std::size_t j = 0; j <= n; ++j) sums[j] = acc.col(j);
-  finalize_result(initial, sweep.d, sweep.shift, out.time, sweep.prefactor,
-                  sweep.epsilon, /*jensen_applies=*/!sweep.terminal_weighted,
-                  std::move(sums), out);
+  // The degenerate closed form's panels already hold final values (factor
+  // 1, and x * 1.0 == x exactly). Every other sweep is scaled by
+  // factor_j = prefactor * j! d^j (prefactor is w_max for a
+  // terminal-weighted sweep, undoing the seed normalization) and, under a
+  // drift shift, mapped back per state through B(t) = B_check(t) + shift * t
+  // with shift_raw_moments' coefficients C(j, k) * delta^(j-k) — the same
+  // products in the same order.
+  const bool shifted = !sweep.degenerate && sweep.shift != 0.0;
+  std::vector<double> factor(width, 1.0);
+  for (std::size_t j = 0; j < width && !sweep.degenerate; ++j)
+    factor[j] = j == 0 ? sweep.prefactor
+                       : factor[j - 1] * (static_cast<double>(j) * sweep.d);
+  std::vector<double> coef(shifted ? width * width : 0);
+  if (shifted) {
+    const double delta = sweep.shift * out.time;
+    for (std::size_t j = 0; j < width; ++j) {
+      double delta_pow = 1.0;
+      for (std::size_t k = j + 1; k-- > 0;) {
+        coef[j * width + k] = binomial_coefficient(j, k) * delta_pow;
+        delta_pow *= delta;
+      }
+    }
+  }
+
+  out.per_state.assign(width, {});
+  for (linalg::Vec& col : out.per_state) col.resize(num_states);
+  out.weighted.resize(width);
+  kFinalizeRows[shifted][width < kFinalizeRows[0].size() ? width : 0](
+      acc, factor.data(), coef.data(), initial.data(), out);
+
+  if constexpr (check::kChecked) {
+    if (!sweep.degenerate && !sweep.terminal_weighted && width >= 3) {
+      // Cauchy-Schwarz V2 >= V1^2 holds for the plain solve only: weighted
+      // output is E[B^j w(Z(t))]. The truncation error is epsilon per
+      // moment in scaled units; the prefactor and the shift amplify it.
+      const double delta = std::abs(sweep.shift) * out.time;
+      const double eff_eps = sweep.epsilon * std::max(sweep.prefactor, 1.0) *
+                             (1.0 + delta) * (1.0 + delta);
+      check::check_moment_consistency(out.per_state[1], out.per_state[2],
+                                      eff_eps, "finalize_from_sweep");
+    }
+  }
   return out;
 }
 

@@ -157,6 +157,28 @@ obs::Metric& cache_coalesced_metric() {
 /// trace's "query_id" args are globally unique within a run.
 std::atomic<std::uint64_t> g_next_query_id{0};
 
+/// Process-wide session-ID source: the stamp that binds a PreparedQuery to
+/// the session that prepared it (never 0, so a default PreparedQuery
+/// matches no session).
+std::atomic<std::uint64_t> g_next_session_id{0};
+
+/// query_batch for either query flavour: answers in input order, appending
+/// each QueryRecord to @p records when non-null.
+template <class Query>
+std::vector<MomentResult> answer_each(const SolveSession& session,
+                                      std::span<const Query> queries,
+                                      std::vector<QueryRecord>* records) {
+  std::vector<MomentResult> out;
+  out.reserve(queries.size());
+  if (records) records->reserve(records->size() + queries.size());
+  for (const Query& q : queries) {
+    QueryRecord rec;
+    out.push_back(session.query(q, records ? &rec : nullptr));
+    if (records) records->push_back(std::move(rec));
+  }
+  return out;
+}
+
 /// Exact 1-based rank-ceil(q*n) order statistic of an ASCENDING-sorted
 /// latency list (0 for an empty list) — the same quantile convention the
 /// bucket histograms use, but at full resolution.
@@ -324,7 +346,8 @@ const std::shared_ptr<SweepCache>& SweepCache::global() {
 SolveSession::SolveSession(SecondOrderMrm model, std::vector<double> times,
                            MomentSolverOptions options,
                            std::shared_ptr<SweepCache> cache)
-    : solver_(std::move(model)),
+    : id_(g_next_session_id.fetch_add(1, std::memory_order_relaxed) + 1),
+      solver_(std::move(model)),
       times_(std::move(times)),
       options_(options),
       cache_(cache ? std::move(cache) : SweepCache::global()) {
@@ -339,7 +362,7 @@ std::string SolveSession::sweep_key(
   return base_key_ + "|w=" + weights_hash(terminal_weights);
 }
 
-void SolveSession::validate_query(const SessionQuery& q) const {
+std::size_t SolveSession::resolve_order(const SessionQuery& q) const {
   const std::size_t num_states = solver_.model().num_states();
   const std::size_t order =
       q.max_moment == SessionQuery::kSessionMax ? options_.max_moment
@@ -357,27 +380,52 @@ void SolveSession::validate_query(const SessionQuery& q) const {
   if (!q.initial.empty()) validate_query_initial(q.initial, num_states);
   if (!q.terminal_weights.empty())
     validate_query_weights(q.terminal_weights, num_states);
+  return order;
 }
 
-SweepCache::EntryPtr SolveSession::retained(
-    std::span<const double> weights, std::string* weights_key,
-    SweepCache::Outcome* outcome) const {
-  std::string key = sweep_key(weights);
-  if (weights_key) *weights_key = key;
-  return cache_->get_or_compute(
-      key, [&] { return solver_.sweep_retained(times_, options_, weights); },
-      outcome);
+void SolveSession::validate_query(const SessionQuery& q) const {
+  resolve_order(q);
 }
 
-MomentResult SolveSession::query_impl(
-    const SessionQuery& q,
-    std::map<std::string, std::shared_ptr<const MomentResult>>* reuse,
-    QueryRecord* record_out) const {
+PreparedQuery SolveSession::prepare(SessionQuery q) const {
+  PreparedQuery p;
+  p.order_ = resolve_order(q);
+  p.sweep_key_ = sweep_key(q.terminal_weights);
+  p.query_ = std::move(q);
+  p.session_id_ = id_;
+  return p;
+}
+
+MomentResult SolveSession::query(const PreparedQuery& q,
+                                 QueryRecord* record) const {
+  if (q.session_id_ != id_)
+    throw std::invalid_argument(
+        "SolveSession: query was prepared by another session");
+  return answer(q.query_, q.order_, q.sweep_key_, record);
+}
+
+MomentResult SolveSession::query(const SessionQuery& q,
+                                 QueryRecord* record) const {
+  const std::size_t order = resolve_order(q);
+  return answer(q, order, sweep_key(q.terminal_weights), record);
+}
+
+std::vector<MomentResult> SolveSession::query_batch(
+    std::span<const PreparedQuery> queries,
+    std::vector<QueryRecord>* records) const {
+  return answer_each(*this, queries, records);
+}
+
+std::vector<MomentResult> SolveSession::query_batch(
+    std::span<const SessionQuery> queries,
+    std::vector<QueryRecord>* records) const {
+  return answer_each(*this, queries, records);
+}
+
+MomentResult SolveSession::answer(const SessionQuery& q, std::size_t order,
+                                  const std::string& key,
+                                  QueryRecord* record_out) const {
   const std::int64_t total_t0 = obs::now_ns();
-  validate_query(q);
-  const std::size_t order =
-      q.max_moment == SessionQuery::kSessionMax ? options_.max_moment
-                                                : q.max_moment;
   const std::span<const double> initial =
       q.initial.empty() ? std::span<const double>(solver_.model().initial())
                         : std::span<const double>(q.initial);
@@ -385,44 +433,23 @@ MomentResult SolveSession::query_impl(
   const std::uint64_t query_id =
       g_next_query_id.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  std::string weights_key;
   SweepCache::Outcome outcome = SweepCache::Outcome::kHit;
-  const SweepCache::EntryPtr sweep =
-      retained(q.terminal_weights, &weights_key, &outcome);
+  const SweepCache::EntryPtr sweep = cache_->get_or_compute(
+      key,
+      [&] {
+        return solver_.sweep_retained(times_, options_, q.terminal_weights);
+      },
+      &outcome);
   if (outcome == SweepCache::Outcome::kMiss) {
     // Peak RSS moves on sweep computation, not on finalize-only queries;
-    // sampling /proc here (and in report()) keeps the hit path free of
-    // filesystem reads at serving rates.
+    // sampling here (and in report()) keeps the hit path free of it.
     static obs::Gauge& rss_gauge = obs::gauge("mem.peak_rss_bytes");
     rss_gauge.set(obs::peak_rss_bytes());
   }
 
   static obs::Metric& finalize_metric = obs::metric("session.query.finalize");
   const std::int64_t finalize_t0 = obs::now_ns();
-  MomentResult out;
-  if (reuse) {
-    // Batch mode: per (weights, time, order) the unscale/shift finalize is
-    // materialized once; queries differing only in pi pay one dot product
-    // per moment order. Recomputing `weighted` from the shared per_state
-    // runs the exact contraction finalize_from_sweep runs, so the reuse
-    // path stays bit-identical to the direct one.
-    const std::string finalize_key = weights_key + "#" +
-                                     std::to_string(q.time_index) + "#" +
-                                     std::to_string(order);
-    auto it = reuse->find(finalize_key);
-    if (it == reuse->end()) {
-      auto base = std::make_shared<const MomentResult>(
-          finalize_from_sweep(*sweep, q.time_index, initial, order));
-      (*reuse)[finalize_key] = base;
-      out = *base;
-    } else {
-      out = *it->second;
-      for (std::size_t j = 0; j < out.per_state.size(); ++j)
-        out.weighted[j] = linalg::dot(initial, out.per_state[j]);
-    }
-  } else {
-    out = finalize_from_sweep(*sweep, q.time_index, initial, order);
-  }
+  MomentResult out = finalize_from_sweep(*sweep, q.time_index, initial, order);
   const std::int64_t done = obs::now_ns();
   finalize_metric.add(1, done - finalize_t0);
 
@@ -474,7 +501,7 @@ MomentResult SolveSession::query_impl(
     rec.latency_ns = latency_ns;
     rec.finalize_ns = finalize_ns;
     rec.cache_outcome = outcome;
-    rec.sweep_key = weights_key;
+    rec.sweep_key = key;
     if (record_out) *record_out = rec;
     support::MutexLock lock(records_mutex_);
     ++queries_;
@@ -511,35 +538,6 @@ SessionReport SolveSession::report() const {
     cache_bytes_gauge.set(static_cast<std::int64_t>(r.cache.bytes));
   }
   return r;
-}
-
-MomentResult SolveSession::query(const SessionQuery& q) const {
-  return query_impl(q, nullptr, nullptr);
-}
-
-MomentResult SolveSession::query(const SessionQuery& q,
-                                 QueryRecord* record) const {
-  return query_impl(q, nullptr, record);
-}
-
-std::vector<MomentResult> SolveSession::query_batch(
-    std::span<const SessionQuery> queries) const {
-  return query_batch(queries, nullptr);
-}
-
-std::vector<MomentResult> SolveSession::query_batch(
-    std::span<const SessionQuery> queries,
-    std::vector<QueryRecord>* records) const {
-  std::vector<MomentResult> out;
-  out.reserve(queries.size());
-  if (records) records->reserve(records->size() + queries.size());
-  std::map<std::string, std::shared_ptr<const MomentResult>> reuse;
-  for (const SessionQuery& q : queries) {
-    QueryRecord rec;
-    out.push_back(query_impl(q, &reuse, records ? &rec : nullptr));
-    if (records) records->push_back(std::move(rec));
-  }
-  return out;
 }
 
 }  // namespace somrm::core

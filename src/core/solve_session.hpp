@@ -163,7 +163,8 @@ struct QueryRecord {
   std::size_t time_index = 0;   ///< the query's time-grid index
   std::size_t max_moment = 0;   ///< resolved moment order (session max
                                 ///< substituted for kSessionMax)
-  std::int64_t latency_ns = 0;  ///< whole query() wall time (0 in OFF builds)
+  std::int64_t latency_ns = 0;  ///< lookup + finalize wall time, after
+                                ///< validation and key (0 in OFF builds)
   std::int64_t finalize_ns = 0; ///< finalize_from_sweep portion
   SweepCache::Outcome cache_outcome = SweepCache::Outcome::kHit;
   std::string sweep_key;        ///< full cache key of the sweep that served it
@@ -208,6 +209,30 @@ struct SessionQuery {
   linalg::Vec terminal_weights;
 };
 
+/// A SessionQuery validated and keyed once by SolveSession::prepare: the
+/// resolved moment order and the sweep-cache key ride along, so answering
+/// it repeats neither the validation nor the O(N) weight hash. Bound to
+/// the session that prepared it; any other session refuses it with
+/// std::invalid_argument. A default-constructed PreparedQuery belongs to
+/// no session.
+class PreparedQuery {
+ public:
+  PreparedQuery() = default;
+
+  const SessionQuery& query() const { return query_; }
+  /// The moment order answered (session max substituted for kSessionMax).
+  std::size_t order() const { return order_; }
+  /// SolveSession::sweep_key of the query's terminal weights.
+  const std::string& sweep_key() const { return sweep_key_; }
+
+ private:
+  friend class SolveSession;
+  SessionQuery query_;
+  std::size_t order_ = 0;
+  std::string sweep_key_;
+  std::uint64_t session_id_ = 0;  ///< 0 = prepared by no session
+};
+
 /// A batched query engine over one model and one time grid: the sweep runs
 /// (at most) once per distinct terminal-weight vector and is shared by
 /// every query. Results are bit-identical to the corresponding independent
@@ -225,34 +250,41 @@ class SolveSession {
                MomentSolverOptions options = {},
                std::shared_ptr<SweepCache> cache = nullptr);
 
-  /// Answers one query. Throws std::invalid_argument on a bad time index,
-  /// order > max_moment, or an invalid initial / weight vector. The
-  /// returned stats carry the sweep-phase timings of the retained sweep,
-  /// THIS query's finalize/total timings, and the cache's cumulative
-  /// counters at query time.
-  MomentResult query(const SessionQuery& q) const;
+  /// Validates @p q — time index, moment order, initial vector, terminal
+  /// weights — throwing std::invalid_argument on the first violation, then
+  /// resolves its order and computes its sweep_key. Lets a serving frontier
+  /// reject bad queries at admission and hand the worker a query that
+  /// needs neither check nor hash again.
+  PreparedQuery prepare(SessionQuery q) const;
 
-  /// query() that also hands back this query's QueryRecord (the same one
-  /// pushed into the session ring) — the serving engine attaches it to the
+  /// Answers one prepared query: a cache lookup on its stored key and one
+  /// finalize_from_sweep pass. Throws std::invalid_argument when @p q was
+  /// prepared by another session. The returned stats carry the sweep-phase
+  /// timings of the retained sweep, THIS query's finalize/total timings,
+  /// and the cache's cumulative counters at query time. When @p record is
+  /// non-null it receives this query's QueryRecord (the same one pushed
+  /// into the session ring) — the serving engine attaches it to the
   /// streamed result so clients get attribution without racing report().
-  MomentResult query(const SessionQuery& q, QueryRecord* record) const;
+  MomentResult query(const PreparedQuery& q,
+                     QueryRecord* record = nullptr) const;
 
-  /// Answers a batch in input order. Beyond the shared sweeps, queries in
-  /// the same batch that differ only in pi also share the unscale/shift
-  /// finalize work: per (weights, time, order) the per-state moments are
-  /// materialized once and each query pays only its pi contraction.
+  /// prepare() then query(): throws std::invalid_argument on a bad time
+  /// index, order > max_moment, or an invalid initial / weight vector.
+  MomentResult query(const SessionQuery& q,
+                     QueryRecord* record = nullptr) const;
+
+  /// Answers a batch in input order; queries sharing a terminal-weight
+  /// vector share its sweep. Appends each query's QueryRecord to
+  /// @p records (same order as the results) when non-null.
   std::vector<MomentResult> query_batch(
-      std::span<const SessionQuery> queries) const;
+      std::span<const PreparedQuery> queries,
+      std::vector<QueryRecord>* records = nullptr) const;
+  std::vector<MomentResult> query_batch(
+      std::span<const SessionQuery> queries,
+      std::vector<QueryRecord>* records = nullptr) const;
 
-  /// query_batch() that appends each query's QueryRecord to @p records
-  /// (same order as the results) when non-null.
-  std::vector<MomentResult> query_batch(std::span<const SessionQuery> queries,
-                                        std::vector<QueryRecord>* records) const;
-
-  /// Validates @p q exactly as query() would — time index, moment order,
-  /// initial vector, terminal weights — throwing std::invalid_argument on
-  /// the first violation. Lets a serving frontier reject bad queries at
-  /// admission instead of on a worker thread.
+  /// Validates @p q exactly as prepare() and query() do, throwing
+  /// std::invalid_argument on the first violation.
   void validate_query(const SessionQuery& q) const;
 
   /// The full sweep-cache key the query's terminal-weight vector maps to:
@@ -284,13 +316,14 @@ class SolveSession {
   const std::string& base_key() const { return base_key_; }
 
  private:
-  MomentResult query_impl(
-      const SessionQuery& q,
-      std::map<std::string, std::shared_ptr<const MomentResult>>* reuse,
-      QueryRecord* record_out) const;
-  SweepCache::EntryPtr retained(std::span<const double> weights,
-                                std::string* weights_key,
-                                SweepCache::Outcome* outcome) const;
+  /// Validates @p q and returns its resolved moment order.
+  std::size_t resolve_order(const SessionQuery& q) const;
+  /// The one answer path behind every query()/query_batch() flavour: @p q
+  /// is already validated, @p order resolved and @p key its sweep_key.
+  MomentResult answer(const SessionQuery& q, std::size_t order,
+                      const std::string& key, QueryRecord* record_out) const;
+
+  std::uint64_t id_ = 0;  ///< process-wide unique; stamps PreparedQuery
 
   RandomizationMomentSolver solver_;
   std::vector<double> times_;

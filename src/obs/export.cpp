@@ -6,6 +6,8 @@
 #include <cstring>
 #include <sstream>
 
+#include <sys/resource.h>
+
 #include "support/thread_annotations.hpp"
 
 namespace somrm::obs {
@@ -72,19 +74,11 @@ std::size_t last_nonzero(const std::vector<std::int64_t>& buckets) {
 }  // namespace
 
 std::int64_t peak_rss_bytes() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (!f) return 0;
-  char line[256];
-  std::int64_t kb = 0;
-  while (std::fgets(line, sizeof line, f)) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      long long v = 0;
-      if (std::sscanf(line + 6, "%lld", &v) == 1) kb = v;
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb * 1024;
+  // ru_maxrss is the kernel's RSS high-water mark, the figure /proc's VmHWM
+  // reports, in KiB on Linux — one syscall instead of a /proc text parse.
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;
 }
 
 std::string render_prometheus(const MetricsSnapshot& snap) {

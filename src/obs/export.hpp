@@ -41,9 +41,12 @@ struct MetricsSnapshot {
   std::vector<HistogramSample> histograms;
 };
 
-/// Peak resident set size of this process in bytes (VmHWM from
-/// /proc/self/status), or 0 when unavailable (non-Linux, masked /proc).
-/// A pure system read — available in ON and OFF builds.
+/// Peak resident set size of this process in bytes (getrusage's
+/// ru_maxrss: on Linux the high-water mark /proc reports as VmHWM, read
+/// without summing the kernel's per-CPU RSS deltas, so it can differ from
+/// VmHWM by that batching slack), or 0 when the call fails. One syscall,
+/// cheap enough for the engine's per-batch tick. A pure system read —
+/// available in ON and OFF builds.
 std::int64_t peak_rss_bytes();
 
 /// Renders @p snap in Prometheus text exposition format (ends with a

@@ -90,10 +90,9 @@ void ServeEngine::enqueue(Pending&& p) {
 }
 
 std::future<ServeResult> ServeEngine::submit(core::SessionQuery query) {
-  session_->validate_query(query);  // malformed queries fail synchronously
   Pending p;
-  p.key = session_->sweep_key(query.terminal_weights);
-  p.query = std::move(query);
+  // Malformed queries fail synchronously; the key is computed once, here.
+  p.prepared = session_->prepare(std::move(query));
   p.enqueue_ns = steady_now_ns();
   std::future<ServeResult> fut = p.promise.get_future();
   enqueue(std::move(p));
@@ -103,10 +102,8 @@ std::future<ServeResult> ServeEngine::submit(core::SessionQuery query) {
 void ServeEngine::submit(core::SessionQuery query, ServeCallback callback) {
   if (!callback)
     throw std::invalid_argument("ServeEngine: callback must not be empty");
-  session_->validate_query(query);
   Pending p;
-  p.key = session_->sweep_key(query.terminal_weights);
-  p.query = std::move(query);
+  p.prepared = session_->prepare(std::move(query));
   p.enqueue_ns = steady_now_ns();
   p.use_callback = true;
   p.callback = std::move(callback);
@@ -117,7 +114,7 @@ void ServeEngine::gather_same_key_locked(const std::string& key,
                                          std::list<Pending>& group) {
   for (auto it = queue_.begin();
        it != queue_.end() && group.size() < options_.max_batch;) {
-    if (it->key == key) {
+    if (it->prepared.sweep_key() == key) {
       auto next = std::next(it);
       group.splice(group.end(), queue_, it);
       it = next;
@@ -140,7 +137,7 @@ void ServeEngine::worker_loop() {
       // misses the window (or lands on another worker) forms its own
       // group and coalesces at the SweepCache instead.
       group.splice(group.end(), queue_, queue_.begin());
-      const std::string key = group.front().key;
+      const std::string key = group.front().prepared.sweep_key();
       gather_same_key_locked(key, group);
       if (options_.batch_window_ns > 0) {
         const auto deadline =
@@ -165,7 +162,7 @@ bool ServeEngine::drain_one() {
     support::MutexLock lock(mutex_);
     if (queue_.empty()) return false;
     group.splice(group.end(), queue_, queue_.begin());
-    gather_same_key_locked(group.front().key, group);
+    gather_same_key_locked(group.front().prepared.sweep_key(), group);
     queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
   }
   run_group(std::move(group));
@@ -175,9 +172,9 @@ bool ServeEngine::drain_one() {
 void ServeEngine::run_group(std::list<Pending> group) {
   if (group.empty()) return;
   const std::size_t batch_size = group.size();
-  std::vector<core::SessionQuery> queries;
+  std::vector<core::PreparedQuery> queries;
   queries.reserve(batch_size);
-  for (const Pending& p : group) queries.push_back(p.query);
+  for (Pending& p : group) queries.push_back(std::move(p.prepared));
 
   const std::int64_t exec_t0 = steady_now_ns();
   std::vector<core::MomentResult> results;

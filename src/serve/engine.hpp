@@ -9,18 +9,19 @@
 // the SweepCache's coalescing, AFTER each has resolved its own sweep. The
 // ServeEngine closes that gap at the front door:
 //
-//  * Admission control — submit() validates the query synchronously
-//    (std::invalid_argument, exactly query()'s checks) and then either
-//    accepts it into a bounded queue or rejects it with a typed
-//    RejectedError. It NEVER blocks the client on a full queue;
-//    backpressure is the caller's policy, not a hidden stall.
+//  * Admission control — submit() prepares the query synchronously
+//    (SolveSession::prepare: std::invalid_argument on exactly query()'s
+//    checks, then the sweep key is hashed once) and then either accepts
+//    it into a bounded queue or rejects it with a typed RejectedError. It
+//    NEVER blocks the client on a full queue; backpressure is the
+//    caller's policy, not a hidden stall.
 //  * Key-grouped batching — queued queries are grouped by their sweep-cache
 //    key (SolveSession::sweep_key — the content-hash base_key plus the
 //    weights hash), i.e. BEFORE any sweep runs. A group leader lingers up
 //    to a short batching window for same-key stragglers, then executes the
-//    whole group as one SolveSession::query_batch, which also shares the
-//    per-(time, order) finalize work between pi-only-differing queries.
-//    Same-key groups that land on different workers still coalesce at the
+//    whole group as one SolveSession::query_batch over the prepared
+//    queries, which neither revalidates nor rehashes them. Same-key
+//    groups that land on different workers still coalesce at the
 //    SweepCache, so splitting is a throughput wrinkle, never a correctness
 //    one — results stay bit-identical to a synchronous query_batch.
 //  * Streaming results — each submit() returns a std::future (or feeds a
@@ -138,10 +139,11 @@ class ServeEngine {
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Validates @p query (throws std::invalid_argument like
-  /// SolveSession::query) and enqueues it. Throws RejectedError when the
-  /// queue is full or the engine is stopping — never blocks. The future
-  /// carries the result or the query_batch exception.
+  /// Prepares @p query (SolveSession::prepare; throws
+  /// std::invalid_argument like SolveSession::query) and enqueues it.
+  /// Throws RejectedError when the queue is full or the engine is
+  /// stopping — never blocks. The future carries the result or the
+  /// query_batch exception.
   std::future<ServeResult> submit(core::SessionQuery query)
       SOMRM_EXCLUDES(mutex_);
 
@@ -175,8 +177,9 @@ class ServeEngine {
  private:
   /// One accepted query waiting for (or riding in) a group.
   struct Pending {
-    core::SessionQuery query;
-    std::string key;  ///< SolveSession::sweep_key — the grouping identity
+    /// Validated and keyed at admission; its sweep_key() is the grouping
+    /// identity. Moved into the batch when the group executes.
+    core::PreparedQuery prepared;
     std::int64_t enqueue_ns = 0;
     bool use_callback = false;
     std::promise<ServeResult> promise;

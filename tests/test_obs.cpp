@@ -10,10 +10,13 @@
 // builds, so this file passes in both.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -617,6 +620,42 @@ TEST(ObsExportTest, PeakRssIsPositiveOnLinux) {
   // 0 is the documented fallback when /proc is unavailable; on this CI
   // platform the read must succeed and a live process has peaked above 0.
   EXPECT_GT(obs::peak_rss_bytes(), 0);
+}
+
+/// VmHWM from /proc/self/status in bytes, or -1 when it cannot be read.
+std::int64_t proc_vm_hwm_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (!f) return -1;
+  char line[256];
+  long long kb = -1;
+  while (std::fgets(line, sizeof line, f)) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      if (std::sscanf(line + 6, "%lld", &kb) != 1) kb = -1;
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb < 0 ? -1 : kb * 1024;
+}
+
+TEST(ObsExportTest, PeakRssIsBracketedByProcHighWaterMark) {
+  // peak_rss_bytes() reads getrusage's ru_maxrss; on Linux that is the
+  // same kernel high-water mark /proc reports as VmHWM, so a VmHWM read
+  // just before and one just after bracket it. The bracket is widened by
+  // the kernel's per-CPU RSS counter slack: getrusage reads the counters'
+  // global values while /proc sums in the per-CPU deltas, which each of
+  // the three RSS counters (file, anon, shmem) batches up to
+  // max(32, 2 * cpus) pages per CPU. Measured: ru_maxrss up to ~170 KiB
+  // below a VmHWM read just before it, on a 4-CPU Linux 6.18 host.
+  const long cpus = std::max(1L, sysconf(_SC_NPROCESSORS_CONF));
+  const std::int64_t slack =
+      3 * cpus * std::max(32L, 2 * cpus) * sysconf(_SC_PAGESIZE);
+  const std::int64_t before = proc_vm_hwm_bytes();
+  const std::int64_t got = obs::peak_rss_bytes();
+  const std::int64_t after = proc_vm_hwm_bytes();
+  ASSERT_GT(before, 0) << "/proc/self/status has no VmHWM line";
+  EXPECT_LE(before - slack, got);
+  EXPECT_LE(got, after + slack);
 }
 
 TEST(ObsExportTest, SnapshotCarriesPeakRssGauge) {

@@ -281,6 +281,53 @@ TEST(ServeEngineManualTest, CallbackFlavourDeliversResultAndRecord) {
   EXPECT_EQ(engine.stats().completed, 1u);
 }
 
+TEST(ServeEnginePreparedTest, SubmitRejectsMalformedQueriesSynchronously) {
+  // Admission runs SolveSession::prepare on the client thread: every
+  // malformed shape throws there, in both submit flavours, and nothing
+  // reaches the queue.
+  ServeEngineOptions opts;
+  opts.num_workers = 0;
+  ServeEngine engine(make_session(12, std::make_shared<SweepCache>()), opts);
+
+  std::vector<SessionQuery> bad(4);
+  bad[0].max_moment = 4;                     // session max is 3
+  bad[1].initial = Vec(11, 1.0 / 11.0);      // wrong size
+  bad[2].initial = Vec(12, 0.5);             // sums to 6
+  bad[3].terminal_weights = Vec(12, -1.0);   // negative weights
+  for (const SessionQuery& q : bad) {
+    EXPECT_THROW(engine.submit(q), std::invalid_argument);
+    EXPECT_THROW(engine.submit(q, [](ServeResult&&, std::exception_ptr) {}),
+                 std::invalid_argument);
+  }
+  EXPECT_FALSE(engine.drain_one());
+  EXPECT_EQ(engine.stats().submitted, 0u);
+  EXPECT_EQ(engine.session()->cache_stats().misses, 0u);
+}
+
+TEST(ServeEnginePreparedTest, RecordSweepKeyIsTheAdmissionKey) {
+  const auto session = make_session(12, std::make_shared<SweepCache>());
+  ServeEngineOptions opts;
+  opts.num_workers = 0;
+  ServeEngine engine(session, opts);
+
+  SessionQuery plain;
+  SessionQuery weighted;
+  weighted.time_index = 2;
+  weighted.initial = make_pi(12, 3);
+  weighted.terminal_weights = make_weights(12, 1);
+  auto f_plain = engine.submit(plain);
+  auto f_weighted = engine.submit(weighted);
+  while (engine.drain_one()) {
+  }
+  const ServeResult r_plain = f_plain.get();
+  const ServeResult r_weighted = f_weighted.get();
+  EXPECT_EQ(r_plain.record.sweep_key, session->sweep_key({}));
+  EXPECT_EQ(r_weighted.record.sweep_key,
+            session->sweep_key(weighted.terminal_weights));
+  EXPECT_NE(r_plain.record.sweep_key, r_weighted.record.sweep_key);
+  expect_results_equal(r_weighted.result, session->query(weighted));
+}
+
 TEST(ServeEngineManualTest, StopDrainsAcceptedWork) {
   ServeEngineOptions opts;
   opts.num_workers = 0;

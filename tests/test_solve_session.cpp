@@ -4,6 +4,12 @@
 // coalescing, cross-session cache sharing keyed by model content, t = 0
 // through the session path, and query/grid validation.
 //
+// The one-pass hit path has its own identity grid (HitPathBitIdentityTest):
+// every order x plain/weighted x drift shift/centering x q > 0/q = 0 case,
+// answered by query, by a same-(w, t, order) query_batch and by a
+// ServeEngine, is memcmp-equal to an independent solve and to the
+// column-wise finalize chain. PreparedQueryTest pins the prepare contract.
+//
 // The bit-identity suite is the acceptance check of the batched engine: a
 // 64-query batch mixing default and custom initial vectors, plain and
 // terminal-weighted queries, and every order up to the session max must
@@ -16,15 +22,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/moment_utils.hpp"
 #include "core/randomization.hpp"
 #include "core/solve_session.hpp"
 #include "linalg/parallel.hpp"
 #include "obs/export.hpp"
+#include "serve/engine.hpp"
 
 namespace somrm {
 namespace {
@@ -37,6 +48,8 @@ using core::SolveSession;
 using core::SweepCache;
 using linalg::Triplet;
 using linalg::Vec;
+using serve::ServeEngineOptions;
+using serve::ServeResult;
 
 /// A small irregular chain: ring transitions plus a few chords, drifts of
 /// both signs and mixed zero/positive variances, so the shift transform,
@@ -175,6 +188,275 @@ TEST_P(SolveSessionThreadsTest, LegacyKernelBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, SolveSessionThreadsTest,
                          ::testing::Values(1, 2, 4, 8));
+
+// ---------------------------------------------------------------------------
+// One-pass hit path: bit identity over the whole finalize case grid
+// ---------------------------------------------------------------------------
+
+/// How the grid model's drifts move the scaled sweep: no shift (drifts all
+/// >= 0), the negative-drift shift (shift = min r_i < 0, undone per state
+/// by the binomial transform), or centering (center != 0, no shift, mixed
+/// signs in R').
+enum class DriftCase { kNoShift, kNegativeShift, kCentered };
+
+struct HitCase {
+  std::size_t order;
+  bool weighted;
+  DriftCase drift;
+  bool degenerate;  ///< q = 0: no transitions, closed-form panels
+};
+
+constexpr std::size_t kGridMaxMoment = 4;
+constexpr std::size_t kGridStates = 20;
+
+core::SecondOrderMrm make_grid_model(DriftCase drift, bool degenerate) {
+  const std::size_t n = kGridStates;
+  std::vector<Triplet> rates;
+  if (!degenerate) {
+    for (std::size_t i = 0; i < n; ++i) {
+      rates.push_back(
+          {i, (i + 1) % n, 1.0 + 0.3 * static_cast<double>(i % 5)});
+      if (i % 3 == 0) rates.push_back({i, (i + 2) % n, 0.7});
+    }
+  }
+  Vec drifts(n, 0.0);
+  Vec variances(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    drifts[i] = static_cast<double>(i % 4) -
+                (drift == DriftCase::kNoShift ? 0.0 : 1.0);
+    variances[i] = (i % 2 == 0) ? 0.5 : 0.0;
+  }
+  return core::SecondOrderMrm(ctmc::Generator::from_rates(n, rates), drifts,
+                              variances, linalg::unit_vec(n, 0));
+}
+
+/// The column-wise finalize chain an independent solve ran before the
+/// one-pass kernel: gather each column, scale it by prefactor * j! d^j,
+/// undo the drift shift state by state through shift_raw_moments, then one
+/// linalg::dot per order. Built from public pieces only, so it pins the
+/// fused kernel's arithmetic order independently of finalize_from_sweep.
+MomentResult columnwise_finalize(const RetainedSweep& sweep, std::size_t ti,
+                                 std::span<const double> pi,
+                                 std::size_t order) {
+  MomentResult out;
+  out.per_state.resize(order + 1);
+  for (std::size_t j = 0; j <= order; ++j)
+    out.per_state[j] = sweep.acc[ti].col(j);
+  if (!sweep.degenerate) {
+    double factor = sweep.prefactor;
+    for (std::size_t j = 0; j <= order; ++j) {
+      if (j > 0) factor *= static_cast<double>(j) * sweep.d;
+      linalg::scale(factor, out.per_state[j]);
+    }
+    if (sweep.shift != 0.0) {
+      Vec raw(order + 1);
+      for (std::size_t i = 0; i < sweep.num_states(); ++i) {
+        for (std::size_t j = 0; j <= order; ++j) raw[j] = out.per_state[j][i];
+        const Vec shifted =
+            core::shift_raw_moments(raw, sweep.shift * sweep.times[ti]);
+        for (std::size_t j = 0; j <= order; ++j)
+          out.per_state[j][i] = shifted[j];
+      }
+    }
+  }
+  out.weighted.resize(order + 1);
+  for (std::size_t j = 0; j <= order; ++j)
+    out.weighted[j] = linalg::dot(pi, out.per_state[j]);
+  return out;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// memcmp of `weighted` and every per_state column of @p got against the
+/// first order + 1 entries of @p want.
+void expect_prefix_bits(const MomentResult& got, const MomentResult& want,
+                        std::size_t order, const std::string& how) {
+  SCOPED_TRACE(how);
+  ASSERT_EQ(got.weighted.size(), order + 1);
+  ASSERT_EQ(got.per_state.size(), order + 1);
+  ASSERT_GE(want.weighted.size(), order + 1);
+  EXPECT_TRUE(same_bits(got.weighted,
+                        std::span<const double>(want.weighted)
+                            .first(order + 1)))
+      << "weighted";
+  for (std::size_t j = 0; j <= order; ++j)
+    EXPECT_TRUE(same_bits(got.per_state[j], want.per_state[j]))
+        << "per_state column " << j;
+}
+
+class HitPathBitIdentityTest : public ::testing::TestWithParam<HitCase> {};
+
+TEST_P(HitPathBitIdentityTest, QueryBatchAndEngineMatchIndependentSolve) {
+  const HitCase c = GetParam();
+  const auto model = make_grid_model(c.drift, c.degenerate);
+  const std::vector<double> times{0.3, 0.9};
+  MomentSolverOptions opts;
+  opts.max_moment = kGridMaxMoment;
+  opts.epsilon = 1e-9;
+  if (c.drift == DriftCase::kCentered) opts.center = 0.5;
+  const Vec w = c.weighted ? make_weights(kGridStates, 1) : Vec{};
+  const std::vector<Vec> pis{make_pi(kGridStates, 1), make_pi(kGridStates, 2),
+                             make_pi(kGridStates, 3)};
+
+  const auto cache = std::make_shared<SweepCache>();
+  const auto session =
+      std::make_shared<const SolveSession>(model, times, opts, cache);
+  ServeEngineOptions engine_opts;
+  engine_opts.num_workers = 0;
+  serve::ServeEngine engine(session, engine_opts);
+  const RetainedSweep sweep =
+      core::RandomizationMomentSolver(model).sweep_retained(times, opts, w);
+  ASSERT_EQ(sweep.degenerate, c.degenerate);
+  ASSERT_EQ(sweep.shift != 0.0, c.drift == DriftCase::kNegativeShift);
+
+  for (std::size_t ti = 0; ti < times.size(); ++ti) {
+    SCOPED_TRACE("time index " + std::to_string(ti));
+    // One (w, t, order) with distinct pi: the batch shape whose finalize
+    // was once shared between queries.
+    std::vector<SessionQuery> batch;
+    for (const Vec& pi : pis) {
+      SessionQuery q;
+      q.time_index = ti;
+      q.max_moment = c.order;
+      q.initial = pi;
+      q.terminal_weights = w;
+      batch.push_back(std::move(q));
+    }
+    const std::vector<MomentResult> batched = session->query_batch(batch);
+    std::vector<std::future<ServeResult>> served;
+    for (const SessionQuery& q : batch) served.push_back(engine.submit(q));
+    ASSERT_TRUE(engine.drain_one());
+    EXPECT_FALSE(engine.drain_one()) << "one sweep key, one group";
+
+    for (std::size_t k = 0; k < pis.size(); ++k) {
+      SCOPED_TRACE("pi " + std::to_string(k));
+      const core::RandomizationMomentSolver solver(model.with_initial(pis[k]));
+      const MomentResult want =
+          c.weighted ? solver.solve_terminal_weighted(times[ti], w, opts)
+                     : solver.solve_multi(times, opts)[ti];
+      expect_prefix_bits(columnwise_finalize(sweep, ti, pis[k], c.order),
+                         want, c.order, "column-wise chain");
+      expect_prefix_bits(session->query(batch[k]), want, c.order, "query");
+      expect_prefix_bits(batched[k], want, c.order, "query_batch");
+      expect_prefix_bits(served[k].get().result, want, c.order, "engine");
+    }
+  }
+  EXPECT_EQ(cache->stats().misses, 1u);
+}
+
+std::vector<HitCase> hit_grid() {
+  std::vector<HitCase> out;
+  for (std::size_t order = 0; order <= kGridMaxMoment; ++order)
+    for (bool weighted : {false, true})
+      for (DriftCase drift : {DriftCase::kNoShift, DriftCase::kNegativeShift,
+                              DriftCase::kCentered})
+        for (bool degenerate : {false, true})
+          out.push_back(HitCase{order, weighted, drift, degenerate});
+  return out;
+}
+
+std::string hit_case_name(const ::testing::TestParamInfo<HitCase>& info) {
+  const HitCase& c = info.param;
+  static const char* const kDrift[] = {"NoShift", "NegShift", "Centered"};
+  return "Order" + std::to_string(c.order) +
+         (c.weighted ? "_Weighted_" : "_Plain_") +
+         kDrift[static_cast<int>(c.drift)] +
+         (c.degenerate ? "_Degenerate" : "_Q");
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, HitPathBitIdentityTest,
+                         ::testing::ValuesIn(hit_grid()), hit_case_name);
+
+TEST(HitPathBitIdentityTest, WidePanelsTakeTheRuntimeWidthKernel) {
+  // Orders 8+ are past the compile-time-width kernels; the runtime-width
+  // instantiation must match the column-wise chain bit for bit as well.
+  const auto model = make_grid_model(DriftCase::kNegativeShift, false);
+  const std::vector<double> times{0.3, 0.9};
+  MomentSolverOptions opts;
+  opts.max_moment = 10;
+  opts.epsilon = 1e-9;
+  for (const Vec& w : {Vec{}, make_weights(kGridStates, 2)}) {
+    const RetainedSweep sweep =
+        core::RandomizationMomentSolver(model).sweep_retained(times, opts, w);
+    ASSERT_NE(sweep.shift, 0.0);
+    const Vec pi = make_pi(kGridStates, 5);
+    for (std::size_t order : {7u, 8u, 10u}) {
+      SCOPED_TRACE("order " + std::to_string(order));
+      expect_prefix_bits(core::finalize_from_sweep(sweep, 1, pi, order),
+                         columnwise_finalize(sweep, 1, pi, order), order,
+                         w.empty() ? "plain" : "weighted");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// PreparedQuery: validated and keyed once, bound to its session
+// ---------------------------------------------------------------------------
+
+TEST(PreparedQueryTest, PrepareRejectsMalformedQueries) {
+  const SolveSession session(make_model(8), {0.5, 1.0}, {},
+                             std::make_shared<SweepCache>());
+  SessionQuery bad_time;
+  bad_time.time_index = 2;
+  EXPECT_THROW(session.prepare(bad_time), std::invalid_argument);
+  SessionQuery bad_order;
+  bad_order.max_moment = session.options().max_moment + 1;
+  EXPECT_THROW(session.prepare(bad_order), std::invalid_argument);
+  SessionQuery bad_pi;
+  bad_pi.initial = Vec(8, 0.25);  // sums to 2
+  EXPECT_THROW(session.prepare(bad_pi), std::invalid_argument);
+  SessionQuery bad_w;
+  bad_w.terminal_weights = Vec(7, 1.0);  // wrong size
+  EXPECT_THROW(session.prepare(bad_w), std::invalid_argument);
+  // validate_query is the same check without the key.
+  for (const SessionQuery* q : {&bad_time, &bad_order, &bad_pi, &bad_w})
+    EXPECT_THROW(session.validate_query(*q), std::invalid_argument);
+  EXPECT_NO_THROW(session.validate_query(SessionQuery{}));
+  // Nothing was looked up or computed.
+  EXPECT_EQ(session.cache_stats().misses, 0u);
+  EXPECT_EQ(session.report().queries, 0u);
+}
+
+TEST(PreparedQueryTest, CarriesResolvedOrderAndSweepKey) {
+  const SolveSession session(make_model(10), {0.5, 1.0}, {},
+                             std::make_shared<SweepCache>());
+  SessionQuery q;
+  q.time_index = 1;
+  q.initial = make_pi(10, 4);
+  q.terminal_weights = make_weights(10, 2);
+  const core::PreparedQuery p = session.prepare(q);
+  EXPECT_EQ(p.order(), session.options().max_moment);
+  EXPECT_EQ(p.sweep_key(), session.sweep_key(q.terminal_weights));
+  EXPECT_EQ(p.query().time_index, 1u);
+
+  core::QueryRecord rec;
+  const MomentResult got = session.query(p, &rec);
+  EXPECT_EQ(rec.sweep_key, p.sweep_key());
+  expect_prefix_bits(got, session.query(q), p.order(), "prepared vs direct");
+}
+
+TEST(PreparedQueryTest, ForeignSessionRefusesWithoutCrashing) {
+  const auto cache = std::make_shared<SweepCache>();
+  const SolveSession a(make_model(8), {0.5, 1.0}, {}, cache);
+  const SolveSession b(make_model(12), {0.5, 1.0}, {}, cache);
+  SessionQuery q;
+  q.initial = make_pi(8, 1);  // sized for a, out of bounds for b
+  q.terminal_weights = make_weights(8, 1);
+  const core::PreparedQuery p = a.prepare(q);
+
+  EXPECT_THROW(b.query(p), std::invalid_argument);
+  EXPECT_THROW(b.query_batch(std::span<const core::PreparedQuery>(&p, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(b.query(core::PreparedQuery{}), std::invalid_argument);
+  EXPECT_THROW(a.query(core::PreparedQuery{}), std::invalid_argument);
+  EXPECT_EQ(cache->stats().misses, 0u);
+  // The owner still answers it.
+  EXPECT_EQ(a.query(p).weighted.size(), a.options().max_moment + 1);
+}
 
 // ---------------------------------------------------------------------------
 // Cache counters, eviction, sharing
