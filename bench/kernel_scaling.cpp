@@ -155,9 +155,9 @@ void BM_SolveVsThreads(benchmark::State& state) {
 // CSR x panel row-kernel throughput per SIMD dispatch level, isolated from
 // the solver (no truncation search, no Poisson windows — just
 // multiply_panel on a birth-death-shaped matrix). Registered dynamically in
-// main() once per level the build compiled in AND the host supports, so a
-// portable build shows scalar only while -DSOMRM_NATIVE=ON on an AVX-512
-// host shows all three. All levels produce bit-identical panels
+// main() once per level the build compiled in AND the host supports, so an
+// x86-64 build on an AVX-512 host shows all three and other targets show
+// scalar only. All levels produce bit-identical panels
 // (test_simd_panel); this benchmark shows what that contract costs.
 void BM_PanelRowsSimd(benchmark::State& state, linalg::simd::Level level) {
   const std::size_t states = 40000, width = 5;

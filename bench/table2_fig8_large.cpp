@@ -16,7 +16,7 @@
 // --threads t1,t2,... (solver thread counts to sweep; default: the current
 // linalg::num_threads() only). Every (storage, kernel, threads) combination
 // runs the full multi-time solve and emits one BenchRecord, so
-//   table2_fig8_large --states 50000 --storage both --kernel both \
+//   table2_fig8_large --states 50000 --storage both --kernel both
 //       --threads 1,2,4,8,16
 // produces a complete scaling curve in one invocation (the BENCH_PR7.json
 // recipe — see EXPERIMENTS.md). The moment table is printed once, from the

@@ -269,7 +269,6 @@ std::vector<MomentResult> ImpulseMomentSolver::solve_multi(
 
   obs::SolverStats stats;
   stats.threads = linalg::num_threads();
-  stats.simd = linalg::simd::level_name(linalg::simd::active_level());
   stats.reorder = "none";  // the impulse solver has no reorder stage
   stats.storage =
       options.storage == StorageFormat::kSellCs ? "sellcs" : "csr";
@@ -288,6 +287,7 @@ std::vector<MomentResult> ImpulseMomentSolver::solve_multi(
   // Degenerate chain: no transitions, hence no impulses either.
   if (scaled.q == 0.0) {
     stats.kernel = "degenerate";
+    stats.simd = "none";
     stats.storage = "none";  // the closed form builds no sparse matrix
     stats.panel_width = 0;
     for (std::size_t ti = 0; ti < times.size(); ++ti) {
@@ -430,6 +430,8 @@ std::vector<MomentResult> ImpulseMomentSolver::solve_multi(
   // results are bit-identical to it at every thread count.
   if (options.kernel == SweepKernel::kPanel) {
     stats.kernel = "impulse_panel";
+    // Its SpMMs (multiply_panel_rows) dispatch on the active level.
+    stats.simd = linalg::simd::level_name(linalg::simd::active_level());
     linalg::Panel u(num_states, n + 1, 0.0);
     linalg::Panel u_next(num_states, n + 1, 0.0);
     u.fill_col(0, 1.0);
@@ -518,6 +520,7 @@ std::vector<MomentResult> ImpulseMomentSolver::solve_multi(
   }
 
   stats.kernel = "impulse_fused_vectors";
+  stats.simd = "scalar";  // visit_row loops, no vector dispatch
   std::vector<linalg::Vec> u(n + 1, linalg::zeros(num_states));
   u[0] = linalg::ones(num_states);
   std::vector<linalg::Vec> u_next(n + 1, linalg::zeros(num_states));

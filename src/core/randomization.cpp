@@ -11,6 +11,7 @@
 #include "core/invariants.hpp"
 #include "core/moment_utils.hpp"
 #include "core/solver_telemetry.hpp"
+#include "linalg/lanes.hpp"
 #include "linalg/panel.hpp"
 #include "linalg/parallel.hpp"
 #include "linalg/reorder.hpp"
@@ -77,61 +78,99 @@ constexpr std::size_t kPanelBlockRows = 1024;
 /// panel width W = n+1 and recursion floor JLO (0 or 1): per row the
 /// entry-order dot products, the R'/½S' diagonal terms, the store to
 /// u_next, and the Poisson-weighted accumulation into every active acc
-/// panel all happen while the row's W accumulators sit in registers — one
+/// panel all happen while the row's iterated orders sit in registers — one
 /// pass over the sparse structure AND one pass over the panels per step.
-/// Templated over the storage format via Matrix::visit_row (CsrMatrix or
-/// linalg::SellCsMatrix), which yields each row's entries in its CSR order.
-/// Per element the arithmetic chain (dot product in entry order, then
-/// + R' u^(j-1), then + ½S' u^(j-2), then acc += w * value) is exactly the
-/// kFusedVectors kernel's, so results are bit-identical to it — for either
-/// storage format.
-template <std::size_t W, std::size_t JLO, class Matrix>
+///
+/// Order j = JLO + c lives in lane c of a Lanes<W - JLO> pack
+/// (linalg/lanes.hpp). Each order is its own chain and the only value read
+/// across lanes is the source row u_i, which is final for this step, so the
+/// orders vectorize with no cross-lane dependency. Per element the chain is
+/// exactly the kFusedVectors kernel's — dot product in entry order, then
+/// + R' u^(j-1), then + ½S' u^(j-2), then acc += w * value — so every lane
+/// pack and either storage format (Matrix::visit_row yields a row's entries
+/// in CSR order for CsrMatrix and linalg::SellCsMatrix) gives the same bits.
+///
+/// JLO == 1 (plain sweep): lane 0 of both panels is the invariant ones
+/// column; it is never recomputed and its accumulation is left to
+/// run_sweep, which sums the identical per-state chain once per time point.
+template <std::size_t W, std::size_t JLO,
+          template <std::size_t> class Lanes, class Matrix>
 void panel_step_rows(const Matrix& mat, const ScaledModel& scaled,
                      const double* ubase, double* obase,
                      std::span<const ActiveWeight> active,
                      std::span<double* const> acc_base, std::size_t row_begin,
                      std::size_t row_end) {
-  constexpr std::size_t n = W - 1;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* ui = ubase + i * W;
-    double* oi = obase + i * W;
-    double s[W > JLO ? W - JLO : 1];  // W == JLO only for the n = 0 sweep
-    for (std::size_t c = 0; c < W - JLO; ++c) s[c] = 0.0;
-    mat.visit_row(i, [&](std::size_t col, double v) {
-      const double* xr = ubase + col * W + JLO;
-      for (std::size_t c = 0; c < W - JLO; ++c) s[c] += v * xr[c];
-    });
-    const double r = scaled.r_prime[i];
-    for (std::size_t j = std::max<std::size_t>(JLO, 1); j <= n; ++j)
-      s[j - JLO] += r * ui[j - 1];
-    const double half_s = 0.5 * scaled.s_prime[i];
-    for (std::size_t j = std::max<std::size_t>(JLO, 2); j <= n; ++j)
-      s[j - JLO] += half_s * ui[j - 2];
-    for (std::size_t c = 0; c < W - JLO; ++c) oi[JLO + c] = s[c];
-    // Weighted accumulation over the FULL width: for JLO == 1 the j = 0
-    // lane reads the invariant ones column stored in u_next, the same
-    // value the vector kernel takes from u[0].
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const double w = active[a].w;
-      double* ar = acc_base[a] + i * W;
-      for (std::size_t j = 0; j < W; ++j) ar[j] += w * oi[j];
+  if constexpr (W > JLO) {  // W == JLO: the n = 0 plain sweep, no lane
+    for (std::size_t i = row_begin; i < row_end; ++i) {
+      const double* ui = ubase + i * W;
+      Lanes<W - JLO> s;
+      mat.visit_row(i, [&](std::size_t col, double v) {
+        s.add_product(v, ubase + col * W + JLO);
+      });
+      s.template add_shifted<1 - JLO>(scaled.r_prime[i], ui);
+      s.template add_shifted<2 - JLO>(0.5 * scaled.s_prime[i], ui);
+      s.store(obase + i * W + JLO);
+      for (std::size_t a = 0; a < active.size(); ++a)
+        s.accumulate_into(active[a].w, acc_base[a] + i * W + JLO);
     }
   }
 }
 
-template <std::size_t W, class Matrix>
-void panel_step_rows_dispatch_jlo(const Matrix& mat, const ScaledModel& scaled,
-                                  std::size_t j_lo, const double* ubase,
-                                  double* obase,
-                                  std::span<const ActiveWeight> active,
-                                  std::span<double* const> acc_base,
-                                  std::size_t row_begin, std::size_t row_end) {
-  if (j_lo == 0)
-    panel_step_rows<W, 0>(mat, scaled, ubase, obase, active, acc_base,
-                          row_begin, row_end);
-  else
-    panel_step_rows<W, 1>(mat, scaled, ubase, obase, active, acc_base,
-                          row_begin, row_end);
+#if SOMRM_SIMD_X86
+/// The AVX2 instantiation of panel_step_rows. flatten inlines the body, the
+/// visit_row callback and the lane operations into this one AVX2 function
+/// (see linalg/lanes.hpp); run only when the CPU has AVX2.
+template <std::size_t W, std::size_t JLO, class Matrix>
+__attribute__((target("avx2"), flatten)) void panel_step_rows_avx2(
+    const Matrix& mat, const ScaledModel& scaled, const double* ubase,
+    double* obase, std::span<const ActiveWeight> active,
+    std::span<double* const> acc_base, std::size_t row_begin,
+    std::size_t row_end) {
+  panel_step_rows<W, JLO, linalg::Avx2Lanes>(mat, scaled, ubase, obase,
+                                             active, acc_base, row_begin,
+                                             row_end);
+}
+#endif
+
+template <class Matrix>
+using StepRowsFn = void (*)(const Matrix&, const ScaledModel&, const double*,
+                            double*, std::span<const ActiveWeight>,
+                            std::span<double* const>, std::size_t,
+                            std::size_t);
+
+/// Widest panel the fused row kernel handles; wider panels take
+/// fused_panel_step's cache-blocked fallback.
+constexpr std::size_t kFusedMaxWidth = 8;
+
+/// One j_lo row of kStepRows.
+template <class Matrix, bool kAvx2, std::size_t JLO, std::size_t... I>
+constexpr std::array<StepRowsFn<Matrix>, sizeof...(I)> step_rows_table(
+    std::index_sequence<I...>) {
+#if SOMRM_SIMD_X86
+  if constexpr (kAvx2) return {&panel_step_rows_avx2<I + 1, JLO, Matrix>...};
+#endif
+  return {&panel_step_rows<I + 1, JLO, linalg::ScalarLanes, Matrix>...};
+}
+
+/// Fused row kernels by [j_lo][width - 1] for widths 1..kFusedMaxWidth;
+/// kAvx2 selects the AVX2 instantiations (the scalar ones off x86-64).
+template <class Matrix, bool kAvx2>
+constexpr std::array<std::array<StepRowsFn<Matrix>, kFusedMaxWidth>, 2>
+    kStepRows{step_rows_table<Matrix, kAvx2, 0>(
+                  std::make_index_sequence<kFusedMaxWidth>{}),
+              step_rows_table<Matrix, kAvx2, 1>(
+                  std::make_index_sequence<kFusedMaxWidth>{})};
+
+/// The fused row kernel for a sweep, or nullptr when the panel is wider
+/// than kFusedMaxWidth. @p avx2 selects the AVX2 instantiation; the caller
+/// passes it only when simd::active_level() >= kAvx2 (an AVX-512 CPU runs
+/// the AVX2 body too — at these widths the lanes fit two 4-lane registers).
+template <class Matrix>
+StepRowsFn<Matrix> fused_step_rows(std::size_t width, std::size_t j_lo,
+                                   bool avx2) {
+  if (width > kFusedMaxWidth) return nullptr;
+  return avx2 ? kStepRows<Matrix, true>[j_lo][width - 1]
+              : kStepRows<Matrix, false>[j_lo][width - 1];
 }
 
 /// One fused, row-parallel step of the Theorem-3 recursion over the panel
@@ -141,30 +180,33 @@ void panel_step_rows_dispatch_jlo(const Matrix& mat, const ScaledModel& scaled,
 /// with ONE pass over the CSR structure — each matrix entry is loaded once
 /// and multiplied against the n+1-j_lo contiguous doubles of the source row
 /// — folding the R'/½S' diagonal terms and the Poisson-weighted
-/// accumulation acc[ti] += w * u_next into the same per-row pass
-/// (panel_step_rows, dispatched on a compile-time width for n <= 7; wider
-/// panels take a cache-blocked three-stage path over the same arithmetic).
-/// Per element the arithmetic order (kk-ascending dot product, then R',
-/// then ½S', then the weighted accumulation) is exactly the kFusedVectors
-/// kernel's, so results are bit-identical to it at every thread count.
+/// accumulation acc[ti] += w * u_next into the same per-row pass (the
+/// fused row kernel from fused_step_rows, AVX2 when @p avx2; panels wider
+/// than kFusedMaxWidth take a cache-blocked three-stage path over the same
+/// arithmetic). Per element the arithmetic order (kk-ascending dot
+/// product, then R', then ½S', then the weighted accumulation) is exactly
+/// the kFusedVectors kernel's, so results are bit-identical to it at every
+/// thread count.
 ///
 /// j_lo == 1 (solve_multi): column 0 of both panels holds the invariant
-/// all-ones vector h and is never recomputed; the accumulation reads it in
-/// place. j_lo == 0 (solve_terminal_weighted): the seed vector is not
-/// invariant and column 0 is iterated like the rest.
+/// all-ones vector h and is never recomputed; the fused kernel leaves acc
+/// column 0 to run_sweep (the wide path still adds it per state — the
+/// same bits run_sweep fills in). j_lo == 0 (solve_terminal_weighted): the
+/// seed vector is not invariant and column 0 is iterated like the rest.
 ///
 /// @p mat is the storage the sweep streams Q' from — scaled.q_prime itself
 /// for kCsr, or the SellCsMatrix built from it for kSellCs. Both provide
 /// visit_row and multiply_panel_rows with the same per-row entry order, so
 /// the instantiations are bit-identical.
 template <class Matrix>
-void fused_panel_step(const Matrix& mat, const ScaledModel& scaled,
+void fused_panel_step(const Matrix& mat, bool avx2, const ScaledModel& scaled,
                       std::size_t n, std::size_t j_lo, linalg::Panel& u,
                       linalg::Panel& u_next,
                       std::span<const ActiveWeight> active,
                       std::vector<linalg::Panel>& acc) {
   const std::size_t num_states = mat.rows();
   const std::size_t width = n + 1;
+  const StepRowsFn<Matrix> rows = fused_step_rows<Matrix>(width, j_lo, avx2);
   // Per-weight destination base pointers, resolved once per step.
   std::vector<double*> acc_base(active.size());
   for (std::size_t a = 0; a < active.size(); ++a)
@@ -174,78 +216,35 @@ void fused_panel_step(const Matrix& mat, const ScaledModel& scaled,
   linalg::parallel_for(
       num_states,
       [&](std::size_t row_begin, std::size_t row_end) {
-        switch (width) {
-          case 1:
-            panel_step_rows_dispatch_jlo<1>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          case 2:
-            panel_step_rows_dispatch_jlo<2>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          case 3:
-            panel_step_rows_dispatch_jlo<3>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          case 4:
-            panel_step_rows_dispatch_jlo<4>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          case 5:
-            panel_step_rows_dispatch_jlo<5>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          case 6:
-            panel_step_rows_dispatch_jlo<6>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          case 7:
-            panel_step_rows_dispatch_jlo<7>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          case 8:
-            panel_step_rows_dispatch_jlo<8>(mat, scaled, j_lo, ubase, obase,
-                                            active, acc_base, row_begin,
-                                            row_end);
-            break;
-          default: {
-            // Wide-panel fallback: cache-block the range so the u_next slab
-            // written by the SpMM is still hot when the diagonal update and
-            // the weighted accumulation re-read it (see kPanelBlockRows).
-            for (std::size_t b0 = row_begin; b0 < row_end;
-                 b0 += kPanelBlockRows) {
-              const std::size_t b1 = std::min(row_end, b0 + kPanelBlockRows);
-              mat.multiply_panel_rows(u, u_next, b0, b1,
-                                      /*src_col=*/j_lo,
-                                      /*dst_col=*/j_lo, width - j_lo,
-                                      /*accumulate=*/false);
-              for (std::size_t i = b0; i < b1; ++i) {
-                const double* ui = u.row_data(i);
-                double* oi = u_next.row_data(i);
-                const double r = scaled.r_prime[i];
-                for (std::size_t j = std::max<std::size_t>(j_lo, 1); j <= n;
-                     ++j)
-                  oi[j] += r * ui[j - 1];
-                const double half_s = 0.5 * scaled.s_prime[i];
-                for (std::size_t j = std::max<std::size_t>(j_lo, 2); j <= n;
-                     ++j)
-                  oi[j] += half_s * ui[j - 2];
-              }
-              const std::size_t lo = b0 * width;
-              const std::size_t len = (b1 - b0) * width;
-              for (const ActiveWeight& aw : active)
-                linalg::axpy(aw.w, u_next.span().subspan(lo, len),
-                             acc[aw.ti].span().subspan(lo, len));
-            }
-            break;
+        if (rows != nullptr) {
+          rows(mat, scaled, ubase, obase, active, acc_base, row_begin,
+               row_end);
+          return;
+        }
+        // Wide-panel fallback: cache-block the range so the u_next slab
+        // written by the SpMM is still hot when the diagonal update and the
+        // weighted accumulation re-read it (see kPanelBlockRows).
+        for (std::size_t b0 = row_begin; b0 < row_end; b0 += kPanelBlockRows) {
+          const std::size_t b1 = std::min(row_end, b0 + kPanelBlockRows);
+          mat.multiply_panel_rows(u, u_next, b0, b1,
+                                  /*src_col=*/j_lo,
+                                  /*dst_col=*/j_lo, width - j_lo,
+                                  /*accumulate=*/false);
+          for (std::size_t i = b0; i < b1; ++i) {
+            const double* ui = u.row_data(i);
+            double* oi = u_next.row_data(i);
+            const double r = scaled.r_prime[i];
+            for (std::size_t j = std::max<std::size_t>(j_lo, 1); j <= n; ++j)
+              oi[j] += r * ui[j - 1];
+            const double half_s = 0.5 * scaled.s_prime[i];
+            for (std::size_t j = std::max<std::size_t>(j_lo, 2); j <= n; ++j)
+              oi[j] += half_s * ui[j - 2];
           }
+          const std::size_t lo = b0 * width;
+          const std::size_t len = (b1 - b0) * width;
+          for (const ActiveWeight& aw : active)
+            linalg::axpy(aw.w, u_next.span().subspan(lo, len),
+                         acc[aw.ti].span().subspan(lo, len));
         }
       },
       kFusedGrain);
@@ -417,7 +416,6 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
 
   obs::SolverStats& stats = sweep.stats;
   stats.threads = linalg::num_threads();
-  stats.simd = linalg::simd::level_name(linalg::simd::active_level());
   stats.reorder = "none";
   stats.storage = options.storage == StorageFormat::kSellCs ? "sellcs" : "csr";
   stats.panel_width = n + 1;
@@ -432,6 +430,7 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
     sweep.degenerate = true;
     sweep.prefactor = 1.0;
     stats.kernel = "degenerate";
+    stats.simd = "none";
     stats.storage = "none";  // the closed form builds no sparse matrix
     stats.panel_width = 0;
     sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
@@ -564,20 +563,39 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
 
   if (options.kernel == SweepKernel::kPanel) {
     stats.kernel = "panel";
-    linalg::Panel u(num_states, n + 1, 0.0);
-    linalg::Panel u_next(num_states, n + 1, 0.0);
+    // The step kernel is chosen once per sweep from the dispatch level: the
+    // fused row kernel runs its AVX2 body at any level >= kAvx2; the wide
+    // fallback's SpMM dispatches on the level itself.
+    const linalg::simd::Level level = linalg::simd::active_level();
+    const bool avx2 = level >= linalg::simd::Level::kAvx2;
+    const std::size_t width = n + 1;
+    stats.simd = linalg::simd::level_name(
+        width > kFusedMaxWidth ? level
+        : avx2                 ? linalg::simd::Level::kAvx2
+                               : linalg::simd::Level::kScalar);
+    linalg::Panel u(num_states, width, 0.0);
+    linalg::Panel u_next(num_states, width, 0.0);
     for (std::size_t i = 0; i < num_states; ++i) u(i, 0) = seed_value(i);
     if (!weighted) u_next.fill_col(0, 1.0);  // invariant column survives swaps
-    sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
+    sweep.acc.assign(times.size(), linalg::Panel(num_states, width, 0.0));
     std::vector<linalg::Panel>& acc = sweep.acc;
+    // Plain sweep: acc(i, 0) = 0 + w_0 * 1 + sum_k w_k * 1 is one scalar
+    // chain, the same for every state, so it is summed once per time point
+    // here and filled at sweep end instead of per state (x * 1.0 == x
+    // exactly, so the bits are those of the per-state chain).
+    std::vector<double> ones_acc(weighted ? 0 : times.size(), 0.0);
 
     // k = 0 contribution.
     for (std::size_t ti = 0; ti < times.size(); ++ti) {
       const double qt = scaled.q * times[ti];
       const double w0 = qt > 0.0 ? windows[ti].weight(0) : 1.0;
-      if (w0 != 0.0)
+      if (w0 == 0.0) continue;
+      if (!weighted) {
+        ones_acc[ti] += w0;
+      } else {
         for (std::size_t i = 0; i < num_states; ++i)
           acc[ti](i, 0) += w0 * u(i, 0);
+      }
     }
 
     const std::int64_t sweep_t0 = obs::now_ns();
@@ -592,20 +610,25 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
         if (w != 0.0) active.push_back(ActiveWeight{ti, w});
       }
       stats.active_weight_sum += active.size();
+      if (!weighted)
+        for (const ActiveWeight& aw : active) ones_acc[aw.ti] += aw.w;
       const std::int64_t k_t0 = obs::now_ns();
       if (use_sell)
-        fused_panel_step(sell, scaled, n, j_lo, u, u_next, active, acc);
+        fused_panel_step(sell, avx2, scaled, n, j_lo, u, u_next, active, acc);
       else
-        fused_panel_step(scaled.q_prime, scaled, n, j_lo, u, u_next, active,
-                         acc);
+        fused_panel_step(scaled.q_prime, avx2, scaled, n, j_lo, u, u_next,
+                         active, acc);
       if constexpr (check::kChecked)
         check::check_sweep_panel(u, k, j_lo, subtraction_free,
                                  /*apply_majorant=*/true, caller);
       detail::record_sweep_step(k_t0, k, active.size());
     }
     detail::finish_sweep_stats(stats, sweep_t0, busy0);
+    for (std::size_t ti = 0; ti < ones_acc.size(); ++ti)
+      acc[ti].fill_col(0, ones_acc[ti]);
   } else {
     stats.kernel = "fused_vectors";
+    stats.simd = "scalar";  // visit_row loops, no vector dispatch
     std::vector<linalg::Vec> u(n + 1, linalg::zeros(num_states));
     for (std::size_t i = 0; i < num_states; ++i) u[0][i] = seed_value(i);
     std::vector<linalg::Vec> u_next(n + 1, linalg::zeros(num_states));

@@ -344,7 +344,7 @@ void CsrMatrix::multiply_panel_rows(const Panel& x, Panel& y,
   if (src_col + count > x.width() || dst_col + count > y.width())
     throw std::invalid_argument(
         "CsrMatrix::multiply_panel_rows: column window out of range");
-  // Vector variants (SOMRM_NATIVE builds) lane the panel columns, so each
+  // Vector variants (x86-64 builds) lane the panel columns, so each
   // column keeps the scalar kernels' accumulation chain — dispatching here
   // trades only speed, never output bits (see linalg/simd.hpp).
   const simd::PanelRowsFn vector_kernel = simd::panel_rows_kernel();

@@ -4,16 +4,8 @@
 #include <cstdlib>
 #include <string>
 
-#ifndef SOMRM_NATIVE
-#define SOMRM_NATIVE 0
-#endif
-
-#if SOMRM_NATIVE && (defined(__x86_64__) || defined(__amd64__)) && \
-    defined(__GNUC__)
-#define SOMRM_SIMD_X86 1
+#if SOMRM_SIMD_X86
 #include <immintrin.h>
-#else
-#define SOMRM_SIMD_X86 0
 #endif
 
 namespace somrm::linalg::simd {

@@ -8,19 +8,29 @@
 // lane executes exactly the scalar multiply-then-add chain in the same
 // order — no FMA (explicit mul + add intrinsics; the build also pins
 // -ffp-contract=off), no reassociation, no horizontal reduction. That is
-// the SOMRM_NATIVE bit-exactness contract: enabling SIMD changes speed,
-// never a single output bit, at any width and any thread count.
+// the SIMD bit-exactness contract: the dispatch level changes speed, never
+// a single output bit, at any width and any thread count.
 //
-// The vector kernels are compiled in only under -DSOMRM_NATIVE=ON on
-// x86-64; in every other build highest_supported() is kScalar and
-// panel_rows_kernel() returns nullptr, so CsrMatrix falls through to the
-// scalar reference. Which compiled-in level actually runs is decided at
-// runtime from CPUID, overridable per-process with SOMRM_SIMD
-// (scalar|avx2|avx512|auto, read once) or programmatically via set_level.
+// The vector kernels are compiled into every x86-64 GCC/Clang build
+// (per-function target attributes, so the binary stays portable); on other
+// targets highest_supported() is kScalar and panel_rows_kernel() returns
+// nullptr, so CsrMatrix falls through to the scalar reference. Which
+// compiled-in level actually runs is decided at runtime from CPUID,
+// overridable per-process with SOMRM_SIMD (scalar|avx2|avx512|auto, read
+// once) or programmatically via set_level. The same level picks the
+// randomization sweep's fused row kernel (core/randomization.cpp).
 
 #pragma once
 
 #include <cstddef>
+
+/// 1 where the AVX2/AVX-512 kernels are compiled in: x86-64 under GCC or
+/// Clang, whose target attributes let one portable build carry them.
+#if (defined(__x86_64__) || defined(__amd64__)) && defined(__GNUC__)
+#define SOMRM_SIMD_X86 1
+#else
+#define SOMRM_SIMD_X86 0
+#endif
 
 namespace somrm::linalg::simd {
 
@@ -28,8 +38,8 @@ namespace somrm::linalg::simd {
 /// levels compare with <.
 enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// Highest level that is both compiled in (-DSOMRM_NATIVE=ON, x86-64) and
-/// reported by the running CPU. kScalar in portable builds.
+/// Highest level that is both compiled in (SOMRM_SIMD_X86) and reported by
+/// the running CPU. kScalar on other targets.
 Level highest_supported();
 
 /// The level panel_rows_kernel() currently dispatches to. Defaults to the

@@ -18,17 +18,6 @@ namespace somrm::obs {
 
 namespace {
 
-std::string export_format_seconds(double s) {
-  char buf[64];
-  if (s >= 1.0)
-    std::snprintf(buf, sizeof buf, "%.3f s", s);
-  else if (s >= 1e-3)
-    std::snprintf(buf, sizeof buf, "%.3f ms", s * 1e3);
-  else
-    std::snprintf(buf, sizeof buf, "%.1f us", s * 1e6);
-  return buf;
-}
-
 /// "somrm_" prefix, dots (and any other non-[a-zA-Z0-9_]) to underscores —
 /// the Prometheus metric-name charset.
 std::string prom_name(const std::string& name) {
@@ -214,6 +203,17 @@ std::string render_json(const MetricsSnapshot& snap) {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+std::string export_format_seconds(double s) {
+  char buf[64];
+  if (s >= 1.0)
+    std::snprintf(buf, sizeof buf, "%.3f s", s);
+  else if (s >= 1e-3)
+    std::snprintf(buf, sizeof buf, "%.3f ms", s * 1e3);
+  else
+    std::snprintf(buf, sizeof buf, "%.1f us", s * 1e6);
+  return buf;
+}
 
 struct MetricsState {
   support::Mutex mutex;

@@ -58,9 +58,11 @@ struct SolverStats {
   /// Sweep kernel that ran: "panel", "fused_vectors", "degenerate" (q == 0
   /// closed form), or "impulse_panel"/"impulse_fused_vectors".
   std::string kernel;
-  /// SIMD level the CSR×panel row kernels dispatch to ("scalar" in
-  /// portable builds; "avx2"/"avx512" under -DSOMRM_NATIVE=ON when the CPU
-  /// supports it). Bit-exact either way — this records speed, not values.
+  /// SIMD level the sweep's step kernel actually ran at: "scalar",
+  /// "avx2" or "avx512" (linalg::simd; the fused row kernel for widths
+  /// <= 8 runs "avx2" whenever the active level is at least AVX2), or
+  /// "none" for the degenerate q == 0 closed form. Bit-exact either way —
+  /// this records speed, not values.
   std::string simd;
   /// Bandwidth-reduction reorder applied at sweep setup: "none", "rcm",
   /// or "degree" (MomentSolverOptions::reorder). Outputs are permuted back,

@@ -13,6 +13,7 @@
 #include "core/ode_solver.hpp"
 #include "core/randomization.hpp"
 #include "linalg/parallel.hpp"
+#include "linalg/simd.hpp"
 #include "prob/normal.hpp"
 #include "sim/impulse_simulator.hpp"
 
@@ -383,6 +384,33 @@ TEST(ImpulseSimulatorTest, ReproducibleAndValidated) {
   EXPECT_EQ(a, b);
   somrm::prob::Rng rng(1);
   EXPECT_THROW(simulator.sample_reward(-1.0, rng), std::invalid_argument);
+}
+
+TEST(ImpulseSolverTest, StatsSimdNamesTheLevelThatRan) {
+  // The panel sweep's SpMMs dispatch on the active level, the legacy
+  // kernel is scalar, and the q = 0 closed form runs no kernel at all.
+  const auto model = SecondOrderImpulseMrm::uniform_impulse(
+      symmetric_chain(2.0, Vec{1.0, 0.5}, Vec{0.2, 0.1}), 0.3, 0.05);
+  MomentSolverOptions opts;
+  opts.max_moment = 3;
+  for (const linalg::simd::Level level :
+       {linalg::simd::Level::kScalar, linalg::simd::highest_supported()}) {
+    linalg::simd::set_level(level);
+    opts.kernel = SweepKernel::kPanel;
+    EXPECT_EQ(ImpulseMomentSolver(model).solve(0.5, opts).stats.simd,
+              linalg::simd::level_name(level));
+    opts.kernel = SweepKernel::kFusedVectors;
+    EXPECT_EQ(ImpulseMomentSolver(model).solve(0.5, opts).stats.simd,
+              "scalar");
+  }
+  linalg::simd::set_level(linalg::simd::highest_supported());
+  const SecondOrderMrm frozen(ctmc::Generator::from_rates(2, {}),
+                              Vec{1.0, -0.5}, Vec{0.2, 0.1}, Vec{0.5, 0.5});
+  EXPECT_EQ(ImpulseMomentSolver(SecondOrderImpulseMrm::uniform_impulse(
+                                    frozen, 0.3, 0.05))
+                .solve(0.5, opts)
+                .stats.simd,
+            "none");
 }
 
 }  // namespace

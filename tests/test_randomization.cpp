@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -22,6 +23,7 @@
 #include "core/moment_utils.hpp"
 #include "ctmc/transient.hpp"
 #include "linalg/parallel.hpp"
+#include "linalg/simd.hpp"
 #include "models/onoff.hpp"
 #include "prob/normal.hpp"
 
@@ -615,6 +617,169 @@ TEST(RandomizationTest, TerminalWeightedFillsErrorBound) {
   // And it matches the plain solve's bound machinery at the same G.
   const auto plain = solver.solve(0.9, opts);
   EXPECT_EQ(res.truncation_point, plain.truncation_point);
+}
+
+// ---------------------------------------------------------------------------
+// SIMD levels: the sweep's step kernel at every compiled vector level
+// against the scalar kernel, bit for bit, across the sweep's branches —
+// widths on both sides of the fused/wide boundary (n = 0..9), plain and
+// terminal-weighted, shift and centering, q = 0, both storages, RCM, thread
+// splits and the last rows of tiny models.
+// ---------------------------------------------------------------------------
+
+std::vector<linalg::simd::Level> vector_levels() {
+  std::vector<linalg::simd::Level> levels;
+  for (const linalg::simd::Level l :
+       {linalg::simd::Level::kAvx2, linalg::simd::Level::kAvx512})
+    if (l <= linalg::simd::highest_supported()) levels.push_back(l);
+  return levels;
+}
+
+/// Ring with bounded rates (q stays ~7 at any size): forward and backward
+/// transitions, drifts of +-[0.5, 2] (negative on every third state when
+/// @p negative, which forces the drift shift), uniform initial law. One
+/// state has no transition, so n = 1 is the q = 0 closed form.
+SecondOrderMrm lane_model(std::size_t n, bool negative) {
+  std::vector<Triplet> rates;
+  for (std::size_t i = 0; n > 1 && i < n; ++i) {
+    const double fwd = 2.0 * (1.0 + 0.3 * static_cast<double>(i % 7));
+    const double back = 0.7 + 0.1 * static_cast<double>(i % 5);
+    rates.push_back({i, (i + 1) % n, fwd});
+    if (n > 2) rates.push_back({i, (i + n - 1) % n, back});
+  }
+  Vec drifts(n), vars(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    drifts[i] = (negative && i % 3 == 0 ? -1.0 : 1.0) *
+                (0.5 + 0.25 * static_cast<double>(i % 7));
+    vars[i] = 0.1 + 0.05 * static_cast<double>(i % 4);
+  }
+  return SecondOrderMrm(ctmc::Generator::from_rates(n, rates),
+                        std::move(drifts), std::move(vars),
+                        Vec(n, 1.0 / static_cast<double>(n)));
+}
+
+/// Restores the auto dispatch level and the default thread count.
+class RandomizationSimdTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    linalg::simd::set_level(linalg::simd::highest_supported());
+    linalg::set_num_threads(0);
+  }
+};
+
+class RandomizationSimdGridTest
+    : public RandomizationSimdTest,
+      public ::testing::WithParamInterface<std::tuple<std::size_t, bool>> {};
+
+TEST_P(RandomizationSimdGridTest, VectorLevelsBitIdenticalToScalar) {
+  const auto [n, weighted] = GetParam();
+  const std::vector<double> few{0.1, 0.4, 1.0};
+  // More active time points than lanes.
+  const std::vector<double> many{0.05, 0.1,  0.15, 0.2,  0.25, 0.3,
+                                 0.35, 0.4,  0.45, 0.5,  0.55, 0.6};
+  struct Case {
+    std::size_t states;
+    bool negative;
+    std::vector<std::size_t> threads;
+    std::vector<const std::vector<double>*> grids;
+  };
+  // Tiny models cover q = 0 (one state) and the last rows at one thread;
+  // 2500 states splits into uneven parallel ranges at 2 and 4 threads.
+  const std::vector<Case> cases{{1, false, {1}, {&few, &many}},
+                                {2, false, {1}, {&few, &many}},
+                                {31, false, {1}, {&few, &many}},
+                                {31, true, {1}, {&few, &many}},
+                                {2500, true, {1, 2, 4}, {&many}}};
+  for (const Case& c : cases) {
+    const RandomizationMomentSolver solver(lane_model(c.states, c.negative));
+    Vec w;
+    if (weighted) {
+      w.resize(c.states);
+      for (std::size_t i = 0; i < c.states; ++i)
+        w[i] = 1.0 + 0.25 * static_cast<double>(i % 3);
+    }
+    for (const double center : {0.0, 0.37})
+      for (const StorageFormat storage :
+           {StorageFormat::kCsr, StorageFormat::kSellCs})
+        for (const ReorderPolicy reorder :
+             {ReorderPolicy::kNone, ReorderPolicy::kRcm})
+          for (const std::size_t threads : c.threads)
+            for (const std::vector<double>* times : c.grids) {
+              MomentSolverOptions opts;
+              opts.max_moment = n;
+              opts.center = center;
+              opts.storage = storage;
+              opts.reorder = reorder;
+              linalg::set_num_threads(threads);
+              const std::string where =
+                  "states " + std::to_string(c.states) + " center " +
+                  std::to_string(center) + " storage " +
+                  std::to_string(static_cast<int>(storage)) + " rcm " +
+                  std::to_string(static_cast<int>(reorder)) + " threads " +
+                  std::to_string(threads) + " times " +
+                  std::to_string(times->size());
+              linalg::simd::set_level(linalg::simd::Level::kScalar);
+              const RetainedSweep ref = solver.sweep_retained(*times, opts, w);
+              EXPECT_EQ(ref.stats.simd, ref.degenerate ? "none" : "scalar")
+                  << where;
+              for (const linalg::simd::Level level : vector_levels()) {
+                linalg::simd::set_level(level);
+                const RetainedSweep got =
+                    solver.sweep_retained(*times, opts, w);
+                EXPECT_TRUE(bit_identical(ref, got))
+                    << where << " level " << linalg::simd::level_name(level);
+                // The fused kernel (width <= 8) runs its AVX2 body at any
+                // vector level; the wide SpMM runs the level itself.
+                const char* ran =
+                    got.degenerate ? "none"
+                    : n + 1 <= 8   ? "avx2"
+                                   : linalg::simd::level_name(level);
+                EXPECT_EQ(got.stats.simd, ran)
+                    << where << " level " << linalg::simd::level_name(level);
+              }
+            }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrdersAndSweeps, RandomizationSimdGridTest,
+    ::testing::Combine(::testing::Range<std::size_t>(0, 10),
+                       ::testing::Bool()),
+    [](const auto& p) {
+      return "n" + std::to_string(std::get<0>(p.param)) +
+             (std::get<1>(p.param) ? "_weighted" : "_plain");
+    });
+
+TEST_F(RandomizationSimdTest, PlainSweepOnesColumnIsOneValuePerTimePoint) {
+  // The plain sweep fills acc column 0 from one scalar chain per time point;
+  // every row must hold the same bits, and they must equal the legacy
+  // kernel's per-state accumulation.
+  const RandomizationMomentSolver solver(lane_model(2500, false));
+  std::vector<double> times;
+  for (int i = 1; i <= 12; ++i) times.push_back(0.05 * i);
+  MomentSolverOptions opts;
+  opts.max_moment = 4;
+  opts.kernel = SweepKernel::kFusedVectors;
+  linalg::set_num_threads(4);
+  const RetainedSweep legacy = solver.sweep_retained(times, opts);
+  EXPECT_EQ(legacy.stats.simd, "scalar");
+  opts.kernel = SweepKernel::kPanel;
+  std::vector<linalg::simd::Level> levels = vector_levels();
+  levels.push_back(linalg::simd::Level::kScalar);
+  for (const linalg::simd::Level level : levels) {
+    linalg::simd::set_level(level);
+    const RetainedSweep sweep = solver.sweep_retained(times, opts);
+    EXPECT_TRUE(bit_identical(sweep, legacy))
+        << linalg::simd::level_name(level);
+    for (std::size_t t = 0; t < times.size(); ++t) {
+      const linalg::Panel& acc = sweep.acc[t];
+      for (std::size_t i = 1; i < acc.rows(); ++i)
+        ASSERT_EQ(std::memcmp(acc.row_data(i), acc.row_data(0), sizeof(double)),
+                  0)
+            << "t " << times[t] << " row " << i << " "
+            << linalg::simd::level_name(level);
+    }
+  }
 }
 
 }  // namespace

@@ -214,7 +214,9 @@ TEST_F(SellCsTest, SigmaSortPermutationIsValidDeterministicAndWindowed) {
   for (std::size_t i = 0; i + 1 < a.rows(); ++i) {
     if ((i + 1) % sigma == 0) continue;  // window boundary
     EXPECT_GE(len(perm[i]), len(perm[i + 1])) << i;
-    if (len(perm[i]) == len(perm[i + 1])) EXPECT_LT(perm[i], perm[i + 1]);
+    if (len(perm[i]) == len(perm[i + 1])) {
+      EXPECT_LT(perm[i], perm[i + 1]);
+    }
   }
 
   // sigma <= 1 is the identity.
