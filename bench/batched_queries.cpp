@@ -12,7 +12,7 @@
 // multi-user traffic shape: same model, different users, different pi.
 //
 // Flags: --states N (ON-OFF sources, default 50000), --queries Q (default
-// 64), --moments n (default 4), --epsilon, --kernel panel|legacy,
+// 64), --moments n (default 4), --epsilon,
 // --skip-independent 1 (session path only — for quick cache-stat runs),
 // --json <path> / --json-append <path> for BenchRecords
 // (batched_queries_independent + batched_queries_session, the latter
@@ -98,9 +98,6 @@ int main(int argc, char** argv) {
   core::MomentSolverOptions opts;
   opts.max_moment = n;
   opts.epsilon = eps;
-  const std::string kernel = bench::arg_string(argc, argv, "--kernel", "panel");
-  opts.kernel = kernel == "legacy" ? core::SweepKernel::kFusedVectors
-                                   : core::SweepKernel::kPanel;
 
   const auto initials = make_initials(num_queries, model.num_states());
   std::vector<core::SessionQuery> queries(num_queries);
@@ -174,7 +171,7 @@ int main(int argc, char** argv) {
                            : bench::arg_string(argc, argv, "--json", ""),
       /*append=*/!append_path.empty());
   bench::BenchRecord session_rec{};
-  session_rec.bench = "batched_queries_session[" + kernel + "]";
+  session_rec.bench = "batched_queries_session[panel]";
   session_rec.states = model.num_states();
   session_rec.threads = linalg::num_threads();
   session_rec.wall_s = session_s;
@@ -186,7 +183,7 @@ int main(int argc, char** argv) {
   writer.add(std::move(session_rec));
   if (!skip_independent) {
     bench::BenchRecord ind_rec{};
-    ind_rec.bench = "batched_queries_independent[" + kernel + "]";
+    ind_rec.bench = "batched_queries_independent[panel]";
     ind_rec.states = model.num_states();
     ind_rec.threads = linalg::num_threads();
     ind_rec.wall_s = independent_s;

@@ -139,8 +139,6 @@ std::string git_sha() {
 void fill_from_stats(BenchRecord& record, const obs::SolverStats& stats) {
   record.kernel = stats.kernel;
   record.simd = stats.simd;
-  record.storage = stats.storage;
-  record.padding_ratio = stats.padding_ratio;
   if (stats.threads > 0) record.threads = stats.threads;
   record.truncation_point = 0;
   for (std::size_t g : stats.truncation_points)
@@ -168,13 +166,11 @@ void print_record(std::FILE* f, const BenchRecord& r, bool trailing_comma) {
   const std::string sha = json_escape(r.git_sha);
   const std::string kernel = json_escape(r.kernel);
   const std::string simd = json_escape(r.simd);
-  const std::string storage = json_escape(r.storage);
   std::fprintf(
       f,
       "  {\"bench\": \"%s\", \"states\": %zu, \"threads\": %zu, "
       "\"wall_s\": %.9g, \"moments\": %zu, \"git_sha\": \"%s\", "
-      "\"kernel\": \"%s\", \"simd\": \"%s\", \"storage\": \"%s\", "
-      "\"padding_ratio\": %.9g, \"observability\": %s, "
+      "\"kernel\": \"%s\", \"simd\": \"%s\", \"observability\": %s, "
       "\"truncation_point\": %zu, \"sweep_s\": %.9g, "
       "\"spmv_gflops\": %.9g, \"load_imbalance\": %.9g, "
       "\"cache_hits\": %zu, \"cache_misses\": %zu, "
@@ -182,8 +178,7 @@ void print_record(std::FILE* f, const BenchRecord& r, bool trailing_comma) {
       "\"latency_p50_ms\": %.9g, \"latency_p99_ms\": %.9g, "
       "\"qps\": %.9g, \"clients\": %zu}%s\n",
       bench.c_str(), r.states, r.threads, r.wall_s, r.moments, sha.c_str(),
-      kernel.c_str(), simd.c_str(), storage.c_str(), r.padding_ratio,
-      r.observability ? "true" : "false",
+      kernel.c_str(), simd.c_str(), r.observability ? "true" : "false",
       r.truncation_point, r.sweep_s, r.spmv_gflops, r.load_imbalance,
       r.cache_hits, r.cache_misses, r.cache_evictions, r.cache_coalesced,
       r.latency_p50_ms, r.latency_p99_ms, r.qps, r.clients,

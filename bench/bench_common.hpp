@@ -86,8 +86,6 @@ struct BenchRecord {
   std::string git_sha;      ///< commit of the binary (bench::git_sha())
   std::string kernel;       ///< sweep kernel that ran ("" when no solve)
   std::string simd;         ///< SIMD dispatch level ("" when no solve)
-  std::string storage;      ///< sparse storage streamed ("" when no solve)
-  double padding_ratio = 0.0;  ///< SELL-C-σ zero-padding fraction (0 for CSR)
   bool observability = somrm::obs::kEnabled;  ///< telemetry compiled in?
   std::size_t truncation_point = 0;  ///< Theorem-4 G_max of the sweep
   double sweep_s = 0.0;              ///< U-recursion sweep seconds

@@ -25,7 +25,6 @@
 #include "core/randomization.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/parallel.hpp"
-#include "linalg/sellcs.hpp"
 #include "linalg/simd.hpp"
 #include "models/birth_death.hpp"
 
@@ -184,64 +183,15 @@ void BM_PanelRowsSimd(benchmark::State& state, linalg::simd::Level level) {
       benchmark::Counter::OneK::kIs1000);
 }
 
-// SELL-C-σ x panel row-kernel throughput per SIMD dispatch level: the same
-// matrix, panel, and flop count as BM_PanelRowsSimd, streamed from the
-// sliced-ELLPACK layout instead of CSR. The bench asserts the output panel
-// is bit-identical to the CSR product before timing — the storage contract
-// in miniature. (A birth-death chain is near-uniform in row length, so the
-// padding ratio is tiny; the interesting comparison is streaming cost.)
-void BM_PanelRowsSellCs(benchmark::State& state, linalg::simd::Level level) {
-  const std::size_t states = 40000, width = 5;
-  const auto model = make_chain(states, 1.0);
-  const linalg::CsrMatrix& a = model.generator().matrix();
-  const auto sell = linalg::SellCsMatrix::from_csr(a);
-  linalg::Panel x(a.cols(), width), y(a.rows(), width);
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < width; ++j)
-      x(i, j) = 1.0 + 1.0 / static_cast<double>(i + j + 1);
-  linalg::set_num_threads(1);
-  linalg::simd::set_level(level);
-  linalg::Panel y_csr(a.rows(), width);
-  a.multiply_panel(x, y_csr);
-  sell.multiply_panel(x, y);
-  for (std::size_t i = 0; i < y.rows(); ++i)
-    for (std::size_t j = 0; j < width; ++j)
-      if (y(i, j) != y_csr(i, j)) {
-        state.SkipWithError("SELL-C-s panel diverged from CSR");
-        linalg::simd::set_level(linalg::simd::highest_supported());
-        linalg::set_num_threads(0);
-        return;
-      }
-  for (auto _ : state) {
-    sell.multiply_panel(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  linalg::simd::set_level(linalg::simd::highest_supported());
-  linalg::set_num_threads(0);
-  state.counters["states"] = static_cast<double>(states);
-  state.counters["threads"] = 1.0;
-  state.counters["padding"] = sell.padding_ratio();
-  // 2 flops (mul + add) per STORED entry per panel column — padding lanes
-  // are never touched, so the flop count matches CSR exactly.
-  state.counters["gflops"] = benchmark::Counter(
-      2.0 * static_cast<double>(a.nnz()) * static_cast<double>(width),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::OneK::kIs1000);
-}
-
-// Panel (multi-vector SpMM) sweep kernel vs the pre-panel fused kernel that
-// re-streams the CSR structure once per moment order, single-threaded so
-// the ratio isolates the memory-traffic win. Args: (states, max_moment).
-// The two kernels are bit-identical (RandomizationThreadTest); only time
-// differs. The (50000, 4) pair is the ISSUE-2 acceptance measurement.
-void run_sweep_kernel(benchmark::State& state, core::SweepKernel kernel) {
+// The panel sweep kernel, single-threaded. Args: (states, max_moment);
+// (50000, 4) is the Table-2-scale configuration.
+void BM_SweepPanel(benchmark::State& state) {
   const auto states = static_cast<std::size_t>(state.range(0));
   const auto moments = static_cast<std::size_t>(state.range(1));
   const core::RandomizationMomentSolver solver(make_chain(states, 1.0));
   core::MomentSolverOptions opts;
   opts.max_moment = moments;
   opts.epsilon = 1e-9;
-  opts.kernel = kernel;
   linalg::set_num_threads(1);
   for (auto _ : state) {
     auto res = solver.solve(20.0, opts);
@@ -252,19 +202,7 @@ void run_sweep_kernel(benchmark::State& state, core::SweepKernel kernel) {
   state.counters["threads"] = 1.0;
   state.counters["moments"] = static_cast<double>(moments);
 }
-
-void BM_SweepPanel(benchmark::State& state) {
-  run_sweep_kernel(state, core::SweepKernel::kPanel);
-}
 BENCHMARK(BM_SweepPanel)
-    ->Args({512, 2})
-    ->Args({50000, 4})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SweepLegacy(benchmark::State& state) {
-  run_sweep_kernel(state, core::SweepKernel::kFusedVectors);
-}
-BENCHMARK(BM_SweepLegacy)
     ->Args({512, 2})
     ->Args({50000, 4})
     ->Unit(benchmark::kMillisecond);
@@ -358,12 +296,6 @@ int main(int argc, char** argv) {
          somrm::linalg::simd::level_name(level))
             .c_str(),
         BM_PanelRowsSimd, level)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_PanelRowsSellCs/") +
-         somrm::linalg::simd::level_name(level))
-            .c_str(),
-        BM_PanelRowsSellCs, level)
         ->Unit(benchmark::kMillisecond);
   }
 

@@ -11,17 +11,14 @@
 // G_max-length sweep.
 //
 // Flags: --states N (default 200000), --epsilon, --moments,
-// --kernel panel|legacy|both (sweep kernel selection, default panel),
-// --storage csr|sellcs|both (sparse storage for Q', default csr),
 // --threads t1,t2,... (solver thread counts to sweep; default: the current
-// linalg::num_threads() only). Every (storage, kernel, threads) combination
-// runs the full multi-time solve and emits one BenchRecord, so
-//   table2_fig8_large --states 50000 --storage both --kernel both
-//       --threads 1,2,4,8,16
-// produces a complete scaling curve in one invocation (the BENCH_PR7.json
-// recipe — see EXPERIMENTS.md). The moment table is printed once, from the
-// first combination: results are bit-identical across storages, kernels and
-// thread counts, which the sweep asserts.
+// linalg::num_threads() only). Every thread count runs the full multi-time
+// solve and emits one BenchRecord, so
+//   table2_fig8_large --states 50000 --threads 1,2,4,8,16
+// produces a complete scaling curve in one invocation (see EXPERIMENTS.md).
+// The moment table is printed once, from the first thread count: results
+// are bit-identical across thread counts, which the run asserts (exit 1 on
+// a divergence).
 // --json <path> writes the machine-readable BenchRecords (--json-append
 // <path> merges into an existing snapshot instead — how the ON/OFF
 // observability pair lands in one BENCH_PR3.json), --stats 1 prints the
@@ -62,34 +59,6 @@ int main(int argc, char** argv) {
               sw_build.seconds());
 
   const std::vector<double> times{0.01, 0.02, 0.03, 0.04, 0.05};
-  const std::string kernel_flag =
-      bench::arg_string(argc, argv, "--kernel", "panel");
-  std::vector<std::string> kernels;
-  if (kernel_flag == "both") {
-    kernels = {"panel", "legacy"};
-  } else if (kernel_flag == "panel" || kernel_flag == "legacy") {
-    kernels = {kernel_flag};
-  } else {
-    std::fprintf(stderr,
-                 "table2_fig8_large: --kernel expects panel|legacy|both, "
-                 "got \"%s\"\n",
-                 kernel_flag.c_str());
-    return 2;
-  }
-  const std::string storage_flag =
-      bench::arg_string(argc, argv, "--storage", "csr");
-  std::vector<std::string> storages;
-  if (storage_flag == "both") {
-    storages = {"csr", "sellcs"};
-  } else if (storage_flag == "csr" || storage_flag == "sellcs") {
-    storages = {storage_flag};
-  } else {
-    std::fprintf(stderr,
-                 "table2_fig8_large: --storage expects csr|sellcs|both, "
-                 "got \"%s\"\n",
-                 storage_flag.c_str());
-    return 2;
-  }
   const std::vector<std::size_t> thread_counts = bench::arg_size_list(
       argc, argv, "--threads", {somrm::linalg::num_threads()});
 
@@ -103,78 +72,69 @@ int main(int argc, char** argv) {
   const core::RandomizationMomentSolver solver(model);
   std::vector<core::MomentResult> reference;  // first combination's results
 
-  for (const std::string& storage : storages)
-  for (const std::string& kernel : kernels) {
-    core::MomentSolverOptions opts;
-    opts.max_moment = n;
-    opts.epsilon = eps;
-    opts.kernel = kernel == "legacy" ? core::SweepKernel::kFusedVectors
-                                     : core::SweepKernel::kPanel;
-    opts.storage = storage == "sellcs" ? core::StorageFormat::kSellCs
-                                       : core::StorageFormat::kCsr;
-    for (const std::size_t threads : thread_counts) {
-      somrm::linalg::set_num_threads(threads);
+  core::MomentSolverOptions opts;
+  opts.max_moment = n;
+  opts.epsilon = eps;
+  for (const std::size_t threads : thread_counts) {
+    somrm::linalg::set_num_threads(threads);
 
-      bench::Stopwatch sw;
-      auto results = solver.solve_multi(times, opts);
-      const double seconds = sw.seconds();
+    bench::Stopwatch sw;
+    auto results = solver.solve_multi(times, opts);
+    const double seconds = sw.seconds();
 
-      if (reference.empty()) {
-        bench::print_row({"t", "qt", "G", "moment1", "moment2", "moment3"});
-        for (const auto& r : results)
-          bench::print_row({bench::fmt(r.time, 4), bench::fmt(r.q * r.time, 8),
-                            std::to_string(r.truncation_point),
-                            bench::fmt(r.weighted[1], 10),
-                            bench::fmt(r.weighted[2], 10),
-                            bench::fmt(n >= 3 ? r.weighted[3] : 0.0, 10)});
+    if (reference.empty()) {
+      bench::print_row({"t", "qt", "G", "moment1", "moment2", "moment3"});
+      for (const auto& r : results)
+        bench::print_row({bench::fmt(r.time, 4), bench::fmt(r.q * r.time, 8),
+                          std::to_string(r.truncation_point),
+                          bench::fmt(r.weighted[1], 10),
+                          bench::fmt(r.weighted[2], 10),
+                          bench::fmt(n >= 3 ? r.weighted[3] : 0.0, 10)});
 
-        const double m = model.generator().matrix().mean_row_nnz();
-        std::printf("# all %zu time points from ONE shared sweep of G_max = "
-                    "%zu iterations\n",
-                    times.size(), results.back().truncation_point);
-        std::printf("# paper: G = 41,588 at eps = 1e-9 (t = 0.05), 3 h for 5 "
-                    "separate solves on 2003 hardware\n");
-        std::printf("# per-iteration cost: (%0.1f + 2) vector ops x %zu "
-                    "states x %zu moment vectors (matches the section-6 "
-                    "count)\n",
-                    m, model.num_states(), n + 1);
-        std::printf("# kernel,simd,storage,threads,wall_s,sweep_s,gflops\n");
-      } else {
-        // The whole sweep must be bit-identical to the first combination —
-        // that is the panel/SIMD/storage/threading determinism contract.
-        for (std::size_t ti = 0; ti < results.size(); ++ti)
-          for (std::size_t j = 0; j <= n; ++j)
-            if (results[ti].weighted[j] != reference[ti].weighted[j]) {
-              std::fprintf(stderr,
-                           "table2_fig8_large: kernel %s (%s storage) at %zu "
-                           "threads diverged from the first run (t=%g, "
-                           "moment %zu)\n",
-                           kernel.c_str(), storage.c_str(), threads,
-                           results[ti].time, j);
-              return 1;
-            }
-      }
-
-      const auto& stats = results.back().stats;
-      std::printf("# %s,%s,%s,%zu,%.4f,%.4f,%.3f\n", kernel.c_str(),
-                  stats.simd.c_str(), stats.storage.c_str(), threads, seconds,
-                  stats.sweep_seconds, stats.effective_gflops);
-
-      if (bench::arg_size(argc, argv, "--stats", 0) != 0)
-        std::printf("%s", obs::report(stats).c_str());
-
-      bench::BenchRecord record{};
-      record.bench = "table2_fig8_large[" + kernel + "]";
-      record.states = model.num_states();
-      record.threads = threads;
-      record.wall_s = seconds;
-      record.moments = n;
-      bench::fill_from_stats(record, stats);
-      record.threads = threads;  // requested count, even past the host cores
-      writer.add(std::move(record));
-
-      if (reference.empty()) reference = std::move(results);
+      const double m = model.generator().matrix().mean_row_nnz();
+      std::printf("# all %zu time points from ONE shared sweep of G_max = "
+                  "%zu iterations\n",
+                  times.size(), results.back().truncation_point);
+      std::printf("# paper: G = 41,588 at eps = 1e-9 (t = 0.05), 3 h for 5 "
+                  "separate solves on 2003 hardware\n");
+      std::printf("# per-iteration cost: (%0.1f + 2) vector ops x %zu "
+                  "states x %zu moment vectors (matches the section-6 "
+                  "count)\n",
+                  m, model.num_states(), n + 1);
+      std::printf("# kernel,simd,threads,wall_s,sweep_s,gflops\n");
+    } else {
+      // The whole sweep must be bit-identical to the first thread count —
+      // that is the SIMD/threading determinism contract.
+      for (std::size_t ti = 0; ti < results.size(); ++ti)
+        for (std::size_t j = 0; j <= n; ++j)
+          if (results[ti].weighted[j] != reference[ti].weighted[j]) {
+            std::fprintf(stderr,
+                         "table2_fig8_large: %zu threads diverged from the "
+                         "first run (t=%g, moment %zu)\n",
+                         threads, results[ti].time, j);
+            return 1;
+          }
     }
+
+    const auto& stats = results.back().stats;
+    std::printf("# %s,%s,%zu,%.4f,%.4f,%.3f\n", stats.kernel.c_str(),
+                stats.simd.c_str(), threads, seconds, stats.sweep_seconds,
+                stats.effective_gflops);
+
+    if (bench::arg_size(argc, argv, "--stats", 0) != 0)
+      std::printf("%s", obs::report(stats).c_str());
+
+    bench::BenchRecord record{};
+    record.bench = "table2_fig8_large[" + stats.kernel + "]";
+    record.states = model.num_states();
+    record.threads = threads;
+    record.wall_s = seconds;
+    record.moments = n;
+    bench::fill_from_stats(record, stats);
+    record.threads = threads;  // requested count, even past the host cores
+    writer.add(std::move(record));
+
+    if (reference.empty()) reference = std::move(results);
   }
   somrm::linalg::set_num_threads(0);
 

@@ -32,6 +32,12 @@
 //   |error| <= (4 d qt)^n * sum_{k >= G+1-n} Pois(k; qt)   (for G >= 2n),
 //
 // the same Poisson-tail shape as Theorem 4 with prefactor (4 d qt)^n.
+//
+// Implementation: the solver builds its scaled model (enlarged d) and the
+// A~_l, then runs the shared sweep core (core/sweep_core.hpp) — the plain
+// recursion's step plus one convolution stage — so truncation, Poisson
+// windows, the reorder option, telemetry and finalize are the plain
+// solver's. MomentResult::error_bound reports the bound above at G.
 
 #pragma once
 

@@ -11,11 +11,11 @@
 #include "core/invariants.hpp"
 #include "core/moment_utils.hpp"
 #include "core/solver_telemetry.hpp"
+#include "core/sweep_core.hpp"
 #include "linalg/lanes.hpp"
 #include "linalg/panel.hpp"
 #include "linalg/parallel.hpp"
 #include "linalg/reorder.hpp"
-#include "linalg/sellcs.hpp"
 #include "linalg/simd.hpp"
 #include "obs/trace.hpp"
 #include "prob/normal.hpp"
@@ -48,30 +48,18 @@ struct ActiveWeight {
   double w;
 };
 
-/// Composes two row-permutation stages applied in sequence. @p first maps
-/// first-stage rows to model rows (first[new] = old, the linalg/reorder
-/// convention) and @p second maps second-stage rows to first-stage rows;
-/// the result maps second-stage rows straight to model rows, so ONE
-/// unpermute_panel_rows at sweep end undoes both stages.
-std::vector<std::size_t> compose_permutations(
-    std::span<const std::size_t> first, std::span<const std::size_t> second) {
-  std::vector<std::size_t> out(second.size());
-  for (std::size_t i = 0; i < second.size(); ++i) out[i] = first[second[i]];
-  return out;
-}
-
-/// Minimum rows per parallel range for the fused kernels. Each row costs
+/// Minimum rows per parallel range for the step kernels. Each row costs
 /// (nnz_row + 4) * n_moments flops, so ranges of ~1k rows amortize the pool
 /// hand-off while still splitting four ways at 10k states.
 constexpr std::size_t kFusedGrain = 1024;
 
-/// Rows per cache block inside a panel-step row range. The SpMM write, the
-/// R'/½S' diagonal update, and the Poisson-weighted accumulation all touch
-/// the same u_next slab; running them block-by-block keeps that slab
-/// (kPanelBlockRows * width doubles — 64 KiB at width 8) resident in L1/L2
-/// across all three stages instead of streaming the full panel from DRAM
-/// three times per step. Pure traffic optimization: per element the
-/// arithmetic chain is unchanged, so results stay bit-identical.
+/// Rows per cache block inside a wide-step row range. The SpMM write, the
+/// R'/½S' diagonal update, the impulse convolution and the Poisson-weighted
+/// accumulation all touch the same u_next slab; running them block-by-block
+/// keeps that slab (kPanelBlockRows * width doubles) resident in L1/L2
+/// across the stages instead of streaming the full panel from DRAM once per
+/// stage. Pure traffic optimization: per element the arithmetic chain is
+/// unchanged, so results stay bit-identical.
 constexpr std::size_t kPanelBlockRows = 1024;
 
 /// Fully fused row kernel for one panel recursion step with a compile-time
@@ -85,17 +73,15 @@ constexpr std::size_t kPanelBlockRows = 1024;
 /// (linalg/lanes.hpp). Each order is its own chain and the only value read
 /// across lanes is the source row u_i, which is final for this step, so the
 /// orders vectorize with no cross-lane dependency. Per element the chain is
-/// exactly the kFusedVectors kernel's — dot product in entry order, then
+/// exactly the wide step's — dot product in entry order, then
 /// + R' u^(j-1), then + ½S' u^(j-2), then acc += w * value — so every lane
-/// pack and either storage format (Matrix::visit_row yields a row's entries
-/// in CSR order for CsrMatrix and linalg::SellCsMatrix) gives the same bits.
+/// pack gives the same bits.
 ///
 /// JLO == 1 (plain sweep): lane 0 of both panels is the invariant ones
 /// column; it is never recomputed and its accumulation is left to
 /// run_sweep, which sums the identical per-state chain once per time point.
-template <std::size_t W, std::size_t JLO,
-          template <std::size_t> class Lanes, class Matrix>
-void panel_step_rows(const Matrix& mat, const ScaledModel& scaled,
+template <std::size_t W, std::size_t JLO, template <std::size_t> class Lanes>
+void panel_step_rows(const linalg::CsrMatrix& mat, const ScaledModel& scaled,
                      const double* ubase, double* obase,
                      std::span<const ActiveWeight> active,
                      std::span<double* const> acc_base, std::size_t row_begin,
@@ -120,10 +106,10 @@ void panel_step_rows(const Matrix& mat, const ScaledModel& scaled,
 /// The AVX2 instantiation of panel_step_rows. flatten inlines the body, the
 /// visit_row callback and the lane operations into this one AVX2 function
 /// (see linalg/lanes.hpp); run only when the CPU has AVX2.
-template <std::size_t W, std::size_t JLO, class Matrix>
+template <std::size_t W, std::size_t JLO>
 __attribute__((target("avx2"), flatten)) void panel_step_rows_avx2(
-    const Matrix& mat, const ScaledModel& scaled, const double* ubase,
-    double* obase, std::span<const ActiveWeight> active,
+    const linalg::CsrMatrix& mat, const ScaledModel& scaled,
+    const double* ubase, double* obase, std::span<const ActiveWeight> active,
     std::span<double* const> acc_base, std::size_t row_begin,
     std::size_t row_end) {
   panel_step_rows<W, JLO, linalg::Avx2Lanes>(mat, scaled, ubase, obase,
@@ -132,81 +118,62 @@ __attribute__((target("avx2"), flatten)) void panel_step_rows_avx2(
 }
 #endif
 
-template <class Matrix>
-using StepRowsFn = void (*)(const Matrix&, const ScaledModel&, const double*,
-                            double*, std::span<const ActiveWeight>,
+using StepRowsFn = void (*)(const linalg::CsrMatrix&, const ScaledModel&,
+                            const double*, double*,
+                            std::span<const ActiveWeight>,
                             std::span<double* const>, std::size_t,
                             std::size_t);
 
-/// Widest panel the fused row kernel handles; wider panels take
-/// fused_panel_step's cache-blocked fallback.
+/// Widest panel the fused row kernel handles; wider panels, and every
+/// impulse sweep, take panel_step's cache-blocked wide path.
 constexpr std::size_t kFusedMaxWidth = 8;
 
 /// One j_lo row of kStepRows.
-template <class Matrix, bool kAvx2, std::size_t JLO, std::size_t... I>
-constexpr std::array<StepRowsFn<Matrix>, sizeof...(I)> step_rows_table(
+template <bool kAvx2, std::size_t JLO, std::size_t... I>
+constexpr std::array<StepRowsFn, sizeof...(I)> step_rows_table(
     std::index_sequence<I...>) {
 #if SOMRM_SIMD_X86
-  if constexpr (kAvx2) return {&panel_step_rows_avx2<I + 1, JLO, Matrix>...};
+  if constexpr (kAvx2) return {&panel_step_rows_avx2<I + 1, JLO>...};
 #endif
-  return {&panel_step_rows<I + 1, JLO, linalg::ScalarLanes, Matrix>...};
+  return {&panel_step_rows<I + 1, JLO, linalg::ScalarLanes>...};
 }
 
 /// Fused row kernels by [j_lo][width - 1] for widths 1..kFusedMaxWidth;
 /// kAvx2 selects the AVX2 instantiations (the scalar ones off x86-64).
-template <class Matrix, bool kAvx2>
-constexpr std::array<std::array<StepRowsFn<Matrix>, kFusedMaxWidth>, 2>
-    kStepRows{step_rows_table<Matrix, kAvx2, 0>(
-                  std::make_index_sequence<kFusedMaxWidth>{}),
-              step_rows_table<Matrix, kAvx2, 1>(
-                  std::make_index_sequence<kFusedMaxWidth>{})};
+template <bool kAvx2>
+constexpr std::array<std::array<StepRowsFn, kFusedMaxWidth>, 2> kStepRows{
+    step_rows_table<kAvx2, 0>(std::make_index_sequence<kFusedMaxWidth>{}),
+    step_rows_table<kAvx2, 1>(std::make_index_sequence<kFusedMaxWidth>{})};
 
-/// The fused row kernel for a sweep, or nullptr when the panel is wider
-/// than kFusedMaxWidth. @p avx2 selects the AVX2 instantiation; the caller
-/// passes it only when simd::active_level() >= kAvx2 (an AVX-512 CPU runs
-/// the AVX2 body too — at these widths the lanes fit two 4-lane registers).
-template <class Matrix>
-StepRowsFn<Matrix> fused_step_rows(std::size_t width, std::size_t j_lo,
-                                   bool avx2) {
-  if (width > kFusedMaxWidth) return nullptr;
-  return avx2 ? kStepRows<Matrix, true>[j_lo][width - 1]
-              : kStepRows<Matrix, false>[j_lo][width - 1];
-}
-
-/// One fused, row-parallel step of the Theorem-3 recursion over the panel
-/// layout: the iterates U^(j_lo..n)(k) live in the contiguous row-major
-/// panel u (u(i, j) = U^(j)(k)_i) and the step computes
+/// One row-parallel step of the recursion over the panel layout: the
+/// iterates U^(j_lo..n)(k) live in the contiguous row-major panel u
+/// (u(i, j) = U^(j)(k)_i) and the step computes
 ///   u_next(i, j) = (Q' u)(i, j) + R'_i u(i, j-1) + 1/2 S'_i u(i, j-2)
-/// with ONE pass over the CSR structure — each matrix entry is loaded once
-/// and multiplied against the n+1-j_lo contiguous doubles of the source row
-/// — folding the R'/½S' diagonal terms and the Poisson-weighted
-/// accumulation acc[ti] += w * u_next into the same per-row pass (the
-/// fused row kernel from fused_step_rows, AVX2 when @p avx2; panels wider
-/// than kFusedMaxWidth take a cache-blocked three-stage path over the same
-/// arithmetic). Per element the arithmetic order (kk-ascending dot
-/// product, then R', then ½S', then the weighted accumulation) is exactly
-/// the kFusedVectors kernel's, so results are bit-identical to it at every
-/// thread count.
+///                  + sum_{l=1..j} (A~_l u)(i, j-l)
+/// (the last term only for an impulse sweep) with ONE pass over the CSR
+/// structure — each matrix entry is loaded once and multiplied against the
+/// contiguous doubles of the source row — folding the diagonal terms and
+/// the Poisson-weighted accumulation acc[ti] += w * u_next into the same
+/// per-row pass. @p rows is the fused row kernel for the sweep's width; when
+/// it is nullptr (panels wider than kFusedMaxWidth, impulse sweeps) the
+/// step runs a cache-blocked wide path over the same arithmetic. Per
+/// element the order is: the Q' dot product in entry order, then R', then
+/// ½S', then each A~_l term in ascending l in its own accumulator, then the
+/// weighted accumulation — fixed per row, so results are bit-identical at
+/// every thread count and in either path.
 ///
-/// j_lo == 1 (solve_multi): column 0 of both panels holds the invariant
-/// all-ones vector h and is never recomputed; the fused kernel leaves acc
-/// column 0 to run_sweep (the wide path still adds it per state — the
-/// same bits run_sweep fills in). j_lo == 0 (solve_terminal_weighted): the
+/// j_lo == 1 (plain and impulse sweeps): column 0 of both panels holds the
+/// invariant all-ones vector h and is never recomputed; the fused kernel
+/// leaves acc column 0 to run_sweep (the wide path still adds it per state
+/// — the same bits run_sweep fills in). j_lo == 0 (terminal-weighted): the
 /// seed vector is not invariant and column 0 is iterated like the rest.
-///
-/// @p mat is the storage the sweep streams Q' from — scaled.q_prime itself
-/// for kCsr, or the SellCsMatrix built from it for kSellCs. Both provide
-/// visit_row and multiply_panel_rows with the same per-row entry order, so
-/// the instantiations are bit-identical.
-template <class Matrix>
-void fused_panel_step(const Matrix& mat, bool avx2, const ScaledModel& scaled,
-                      std::size_t n, std::size_t j_lo, linalg::Panel& u,
-                      linalg::Panel& u_next,
-                      std::span<const ActiveWeight> active,
-                      std::vector<linalg::Panel>& acc) {
-  const std::size_t num_states = mat.rows();
+void panel_step(StepRowsFn rows, const ScaledModel& scaled,
+                std::span<const linalg::CsrMatrix> impulse, std::size_t n,
+                std::size_t j_lo, linalg::Panel& u, linalg::Panel& u_next,
+                std::span<const ActiveWeight> active,
+                std::vector<linalg::Panel>& acc) {
+  const linalg::CsrMatrix& mat = scaled.q_prime;
   const std::size_t width = n + 1;
-  const StepRowsFn<Matrix> rows = fused_step_rows<Matrix>(width, j_lo, avx2);
   // Per-weight destination base pointers, resolved once per step.
   std::vector<double*> acc_base(active.size());
   for (std::size_t a = 0; a < active.size(); ++a)
@@ -214,16 +181,16 @@ void fused_panel_step(const Matrix& mat, bool avx2, const ScaledModel& scaled,
   const double* ubase = u.data();
   double* obase = u_next.data();
   linalg::parallel_for(
-      num_states,
+      mat.rows(),
       [&](std::size_t row_begin, std::size_t row_end) {
         if (rows != nullptr) {
           rows(mat, scaled, ubase, obase, active, acc_base, row_begin,
                row_end);
           return;
         }
-        // Wide-panel fallback: cache-block the range so the u_next slab
-        // written by the SpMM is still hot when the diagonal update and the
-        // weighted accumulation re-read it (see kPanelBlockRows).
+        // Wide path: cache-block the range so the u_next slab written by
+        // the SpMM is still hot when the later stages re-read it (see
+        // kPanelBlockRows).
         for (std::size_t b0 = row_begin; b0 < row_end; b0 += kPanelBlockRows) {
           const std::size_t b1 = std::min(row_end, b0 + kPanelBlockRows);
           mat.multiply_panel_rows(u, u_next, b0, b1,
@@ -240,6 +207,16 @@ void fused_panel_step(const Matrix& mat, bool avx2, const ScaledModel& scaled,
             for (std::size_t j = std::max<std::size_t>(j_lo, 2); j <= n; ++j)
               oi[j] += half_s * ui[j - 2];
           }
+          // Impulse convolution in ascending l: element (i, j) receives its
+          // A~_1 .. A~_j terms in that order, each summed over the row's
+          // entries in its own accumulator before the add.
+          for (std::size_t l = 1; l <= impulse.size(); ++l) {
+            if (impulse[l - 1].nnz() == 0) continue;
+            impulse[l - 1].multiply_panel_rows(u, u_next, b0, b1,
+                                               /*src_col=*/0, /*dst_col=*/l,
+                                               width - l,
+                                               /*accumulate=*/true);
+          }
           const std::size_t lo = b0 * width;
           const std::size_t len = (b1 - b0) * width;
           for (const ActiveWeight& aw : active)
@@ -251,79 +228,20 @@ void fused_panel_step(const Matrix& mat, bool avx2, const ScaledModel& scaled,
   u.swap(u_next);
 }
 
-/// One fused step over the pre-panel layout (one vector per moment order):
-/// re-streams the sparse structure once per order. Kept as the
-/// kFusedVectors reference kernel; see fused_panel_step for the production
-/// path. Templated over the storage format exactly like fused_panel_step.
-template <class Matrix>
-void fused_recursion_step(const Matrix& mat, const ScaledModel& scaled,
-                          std::size_t n, std::size_t j_lo,
-                          std::vector<linalg::Vec>& u,
-                          std::vector<linalg::Vec>& u_next,
-                          std::span<const ActiveWeight> active,
-                          std::vector<std::vector<linalg::Vec>>& acc) {
-  const std::size_t num_states = mat.rows();
-
-  linalg::parallel_for(
-      num_states,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        // Stage-wise within the range: each stage is a contiguous streaming
-        // loop the compiler can vectorize. Per element the arithmetic
-        // order is exactly the scalar original's, so 1-thread results are
-        // bit-identical to the pre-fusion solver.
-        for (std::size_t j = n + 1; j-- > j_lo;) {
-          const linalg::Vec& uj = u[j];
-          linalg::Vec& out = u_next[j];
-          for (std::size_t i = row_begin; i < row_end; ++i) {
-            double s = 0.0;
-            mat.visit_row(i, [&](std::size_t col, double v) {
-              s += v * uj[col];
-            });
-            out[i] = s;
-          }
-          if (j >= 1) {
-            const linalg::Vec& lower1 = u[j - 1];
-            for (std::size_t i = row_begin; i < row_end; ++i)
-              out[i] += scaled.r_prime[i] * lower1[i];
-          }
-          if (j >= 2) {
-            const linalg::Vec& lower2 = u[j - 2];
-            for (std::size_t i = row_begin; i < row_end; ++i)
-              out[i] += 0.5 * scaled.s_prime[i] * lower2[i];
-          }
-        }
-        // Accumulation goes through linalg::axpy on the owned sub-range: the
-        // weight travels by value, so the compiler keeps it in a register and
-        // vectorizes (reading aw.w through the struct reference inside the
-        // loop defeats that — the stores to acc could alias it).
-        const std::size_t len = row_end - row_begin;
-        for (const ActiveWeight& aw : active) {
-          if (j_lo > 0) {
-            linalg::axpy(
-                aw.w, std::span<const double>(u[0]).subspan(row_begin, len),
-                std::span<double>(acc[aw.ti][0]).subspan(row_begin, len));
-          }
-          for (std::size_t j = j_lo > 0 ? 1 : 0; j <= n; ++j) {
-            linalg::axpy(
-                aw.w,
-                std::span<const double>(u_next[j]).subspan(row_begin, len),
-                std::span<double>(acc[aw.ti][j]).subspan(row_begin, len));
-          }
-        }
-      },
-      kFusedGrain);
-
-  for (std::size_t j = j_lo; j <= n; ++j) std::swap(u[j], u_next[j]);
-}
-
 /// True when the scaled recursion is numerically subtraction-free (all
-/// R' >= 0, i.e. shift-mode scaling; S' is non-negative by construction),
-/// which is when the checked build may assert iterate non-negativity.
-/// Only evaluated in checked builds.
-bool is_subtraction_free(const ScaledModel& scaled) {
+/// R' >= 0, i.e. shift-mode scaling, and every impulse matrix A~_l >= 0 —
+/// odd normal moments of a negative mean break the latter; S' is
+/// non-negative by construction), which is when the checked build may
+/// assert iterate non-negativity. Only evaluated in checked builds.
+bool is_subtraction_free(const ScaledModel& scaled,
+                         std::span<const linalg::CsrMatrix> impulse) {
   return check::kChecked &&
          std::all_of(scaled.r_prime.begin(), scaled.r_prime.end(),
-                     [](double r) { return r >= 0.0; });
+                     [](double r) { return r >= 0.0; }) &&
+         std::all_of(impulse.begin(), impulse.end(),
+                     [](const linalg::CsrMatrix& a) {
+                       return a.is_nonnegative(0.0);
+                     });
 }
 
 /// Scratch for one row: registers at a compile-time size N, heap at N == 0.
@@ -384,309 +302,20 @@ constexpr std::array kFinalizeRows{
     finalize_rows_table<false>(std::make_index_sequence<9>{}),
     finalize_rows_table<true>(std::make_index_sequence<9>{})};
 
-/// The shared sweep body behind solve_multi, solve_terminal_weighted and
-/// sweep_retained: scales the model, computes per-time truncation points
-/// and Poisson windows, runs the fused recursion with the per-time weighted
-/// accumulation, and returns the retained panels. @p terminal_weights empty
-/// selects the plain sweep (invariant ones seed, j_lo = 1); non-empty
-/// selects the terminal-weighted sweep (normalized w seed, j_lo = 0).
-/// @p caller names the solve in checked-build probe messages.
-RetainedSweep run_sweep(const SecondOrderMrm& model,
-                        std::span<const double> times,
-                        const MomentSolverOptions& options,
-                        std::span<const double> terminal_weights,
-                        const char* caller) {
-  const std::int64_t total_t0 = obs::now_ns();
-  const std::size_t n = options.max_moment;
-  const std::size_t num_states = model.num_states();
-  const bool weighted = !terminal_weights.empty();
-  const double w_max = weighted ? linalg::max_elem(terminal_weights) : 1.0;
-  ScaledModel scaled = scale_model(model, options.scale_policy, options.center);
-
-  RetainedSweep sweep;
-  sweep.times.assign(times.begin(), times.end());
-  sweep.max_moment = n;
-  sweep.epsilon = options.epsilon;
-  sweep.center = options.center;
-  sweep.q = scaled.q;
-  sweep.d = scaled.d;
-  sweep.shift = scaled.shift;
-  sweep.terminal_weighted = weighted;
-  sweep.prefactor = weighted ? w_max : 1.0;
-
-  obs::SolverStats& stats = sweep.stats;
-  stats.threads = linalg::num_threads();
-  stats.reorder = "none";
-  stats.storage = options.storage == StorageFormat::kSellCs ? "sellcs" : "csr";
-  stats.panel_width = n + 1;
-  stats.scale_seconds = obs::seconds_between(total_t0, obs::now_ns());
-
-  // Degenerate chain: no transitions ever happen, so conditioned on
-  // Z(0) = i the reward is exactly a Brownian motion with (r_i, sigma_i^2)
-  // and the moments are the closed-form normal moments (times the terminal
-  // weight, which only sees the frozen state Z(t) = Z(0) = i). The panels
-  // hold FINAL per-state values; finalize only contracts with pi.
-  if (scaled.q == 0.0) {
-    sweep.degenerate = true;
-    sweep.prefactor = 1.0;
-    stats.kernel = "degenerate";
-    stats.simd = "none";
-    stats.storage = "none";  // the closed form builds no sparse matrix
-    stats.panel_width = 0;
-    sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
-    for (std::size_t ti = 0; ti < times.size(); ++ti) {
-      for (std::size_t i = 0; i < num_states; ++i) {
-        const auto m = prob::brownian_raw_moments(
-            model.drifts()[i] - options.center, model.variances()[i],
-            times[ti], n);
-        const double wi = weighted ? terminal_weights[i] : 1.0;
-        for (std::size_t j = 0; j <= n; ++j) sweep.acc[ti](i, j) = m[j] * wi;
-      }
-    }
-    stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
-    return sweep;
-  }
-
-  // Optional bandwidth-reduction reorder (linalg/reorder.hpp): the sweep
-  // runs on the permuted state space and the retained panels are permuted
-  // back just before return. permute_symmetric preserves every row's
-  // stored-entry order, so the arithmetic chain — and hence every output
-  // bit — is identical under any policy; only memory locality changes.
-  std::vector<std::size_t> perm;  // perm[new] = old; empty = no reorder
-  stats.bandwidth_before = linalg::bandwidth(scaled.q_prime);
-  stats.bandwidth_after = stats.bandwidth_before;
-  if (options.reorder != ReorderPolicy::kNone) {
-    const std::int64_t reorder_t0 = obs::now_ns();
-    perm = options.reorder == ReorderPolicy::kRcm
-               ? linalg::rcm_permutation(scaled.q_prime)
-               : linalg::degree_permutation(scaled.q_prime);
-    if (linalg::is_identity_permutation(perm)) {
-      perm.clear();  // already optimal; skip the permuted copies
-    } else {
-      scaled.q_prime = linalg::permute_symmetric(scaled.q_prime, perm);
-      scaled.r_prime = linalg::permute_vector(scaled.r_prime, perm);
-      scaled.s_prime = linalg::permute_vector(scaled.s_prime, perm);
-      stats.bandwidth_after = linalg::bandwidth(scaled.q_prime);
-    }
-    stats.reorder = options.reorder == ReorderPolicy::kRcm ? "rcm" : "degree";
-    stats.scale_seconds += obs::seconds_between(reorder_t0, obs::now_ns());
-  }
-
-  // Optional SELL-C-σ storage (linalg/sellcs.hpp): σ-sort the (possibly
-  // reorder-permuted) rows by descending length — expressed as a second
-  // permutation stage composed onto perm, so the existing unpermute at
-  // sweep end undoes both stages at once — then convert. The SELL kernels
-  // keep each row's entries in CSR order, so like the reorder this changes
-  // memory traffic, never a single output bit.
-  linalg::SellCsMatrix sell;
-  const bool use_sell = options.storage == StorageFormat::kSellCs;
-  if (use_sell) {
-    const std::int64_t sell_t0 = obs::now_ns();
-    std::vector<std::size_t> sigma_perm =
-        linalg::SellCsMatrix::sigma_sort_permutation(
-            scaled.q_prime, linalg::SellCsMatrix::kDefaultSigma);
-    if (!linalg::is_identity_permutation(sigma_perm)) {
-      scaled.q_prime = linalg::permute_symmetric(scaled.q_prime, sigma_perm);
-      scaled.r_prime = linalg::permute_vector(scaled.r_prime, sigma_perm);
-      scaled.s_prime = linalg::permute_vector(scaled.s_prime, sigma_perm);
-      perm = perm.empty() ? std::move(sigma_perm)
-                          : compose_permutations(perm, sigma_perm);
-    }
-    sell = linalg::SellCsMatrix::from_csr(scaled.q_prime,
-                                          linalg::SellCsMatrix::kDefaultChunk);
-    stats.padding_ratio = sell.padding_ratio();
-    stats.chunk_occupancy = sell.chunk_occupancy();
-    stats.scale_seconds += obs::seconds_between(sell_t0, obs::now_ns());
-  }
-
-  // Theorem-4 truncation per time point: honour epsilon for every moment
-  // order 0..n, so take the max of the per-order G values. The per-order
-  // maxima over the time points land in stats.truncation_points.
-  const std::int64_t trunc_t0 = obs::now_ns();
-  std::vector<std::size_t>& trunc = sweep.truncation_points;
-  trunc.assign(times.size(), 0);
-  sweep.error_bounds.assign(times.size(), 0.0);
-  stats.truncation_points.assign(n + 1, 0);
-  std::size_t g_max = 0;
-  for (std::size_t ti = 0; ti < times.size(); ++ti) {
-    const double qt = scaled.q * times[ti];
-    std::size_t g = 0;
-    for (std::size_t j = 0; j <= n; ++j) {
-      const std::size_t gj = RandomizationMomentSolver::truncation_point(
-          qt, j, scaled.d, options.epsilon);
-      stats.truncation_points[j] = std::max(stats.truncation_points[j], gj);
-      g = std::max(g, gj);
-    }
-    trunc[ti] = g;
-    // Theorem 4 applies to the weighted sweep unchanged: the normalized
-    // seed w/w_max is <= h, so Lemma 2's majorant still dominates.
-    sweep.error_bounds[ti] = theorem4_error_bound(qt, n, scaled.d, g);
-    if constexpr (check::kChecked) {
-      check::check_truncation_bound(
-          sweep.error_bounds[ti],
-          g > 0 ? theorem4_error_bound(qt, n, scaled.d, g - 1)
-                : sweep.error_bounds[ti],
-          options.epsilon, g, caller);
-    }
-    g_max = std::max(g_max, g);
-  }
-  stats.truncation_seconds = obs::seconds_between(trunc_t0, obs::now_ns());
-  const bool subtraction_free = is_subtraction_free(scaled);
-
-  // Per-time-point Poisson weight tables, one lgamma each (mode-centered
-  // multiplicative recurrence with left truncation) — the old code paid one
-  // lgamma per (k, time point) pair inside the sweep.
-  const std::int64_t window_t0 = obs::now_ns();
-  std::vector<prob::PoissonWindow> windows(times.size());
-  stats.window_widths.assign(times.size(), 0);
-  for (std::size_t ti = 0; ti < times.size(); ++ti) {
-    const double qt = scaled.q * times[ti];
-    if (qt > 0.0) windows[ti] = prob::poisson_weight_window(qt, trunc[ti]);
-    stats.window_widths[ti] = windows[ti].weights.size();
-    obs::trace_counter("poisson.window_width",
-                       static_cast<double>(windows[ti].weights.size()));
-  }
-  stats.window_seconds = obs::seconds_between(window_t0, obs::now_ns());
-  stats.sweep_steps = g_max;
-  // Lanes actually iterated per CSR pass: the plain sweep's j = 0 column is
-  // invariant (j_lo = 1), so n lanes; the weighted seed is not invariant,
-  // so all n+1 lanes iterate (j_lo = 0).
-  const std::size_t j_lo = weighted ? 0 : 1;
-  stats.sweep_flops =
-      2 * g_max * scaled.q_prime.nnz() * (weighted ? n + 1 : n);
-
-  const auto seed_value = [&](std::size_t i) {
-    if (!weighted) return 1.0;
-    // Row i of the (possibly permuted) sweep is model state perm[i].
-    return terminal_weights[perm.empty() ? i : perm[i]] / w_max;
-  };
-
-  if (options.kernel == SweepKernel::kPanel) {
-    stats.kernel = "panel";
-    // The step kernel is chosen once per sweep from the dispatch level: the
-    // fused row kernel runs its AVX2 body at any level >= kAvx2; the wide
-    // fallback's SpMM dispatches on the level itself.
-    const linalg::simd::Level level = linalg::simd::active_level();
-    const bool avx2 = level >= linalg::simd::Level::kAvx2;
-    const std::size_t width = n + 1;
-    stats.simd = linalg::simd::level_name(
-        width > kFusedMaxWidth ? level
-        : avx2                 ? linalg::simd::Level::kAvx2
-                               : linalg::simd::Level::kScalar);
-    linalg::Panel u(num_states, width, 0.0);
-    linalg::Panel u_next(num_states, width, 0.0);
-    for (std::size_t i = 0; i < num_states; ++i) u(i, 0) = seed_value(i);
-    if (!weighted) u_next.fill_col(0, 1.0);  // invariant column survives swaps
-    sweep.acc.assign(times.size(), linalg::Panel(num_states, width, 0.0));
-    std::vector<linalg::Panel>& acc = sweep.acc;
-    // Plain sweep: acc(i, 0) = 0 + w_0 * 1 + sum_k w_k * 1 is one scalar
-    // chain, the same for every state, so it is summed once per time point
-    // here and filled at sweep end instead of per state (x * 1.0 == x
-    // exactly, so the bits are those of the per-state chain).
-    std::vector<double> ones_acc(weighted ? 0 : times.size(), 0.0);
-
-    // k = 0 contribution.
-    for (std::size_t ti = 0; ti < times.size(); ++ti) {
-      const double qt = scaled.q * times[ti];
-      const double w0 = qt > 0.0 ? windows[ti].weight(0) : 1.0;
-      if (w0 == 0.0) continue;
-      if (!weighted) {
-        ones_acc[ti] += w0;
-      } else {
-        for (std::size_t i = 0; i < num_states; ++i)
-          acc[ti](i, 0) += w0 * u(i, 0);
-      }
-    }
-
-    const std::int64_t sweep_t0 = obs::now_ns();
-    const std::int64_t busy0 = detail::parallel_busy_metric().total_ns();
-    std::vector<ActiveWeight> active;
-    active.reserve(times.size());
-    for (std::size_t k = 1; k <= g_max; ++k) {
-      active.clear();
-      for (std::size_t ti = 0; ti < times.size(); ++ti) {
-        if (k > trunc[ti]) continue;
-        const double w = windows[ti].weight(k);
-        if (w != 0.0) active.push_back(ActiveWeight{ti, w});
-      }
-      stats.active_weight_sum += active.size();
-      if (!weighted)
-        for (const ActiveWeight& aw : active) ones_acc[aw.ti] += aw.w;
-      const std::int64_t k_t0 = obs::now_ns();
-      if (use_sell)
-        fused_panel_step(sell, avx2, scaled, n, j_lo, u, u_next, active, acc);
-      else
-        fused_panel_step(scaled.q_prime, avx2, scaled, n, j_lo, u, u_next,
-                         active, acc);
-      if constexpr (check::kChecked)
-        check::check_sweep_panel(u, k, j_lo, subtraction_free,
-                                 /*apply_majorant=*/true, caller);
-      detail::record_sweep_step(k_t0, k, active.size());
-    }
-    detail::finish_sweep_stats(stats, sweep_t0, busy0);
-    for (std::size_t ti = 0; ti < ones_acc.size(); ++ti)
-      acc[ti].fill_col(0, ones_acc[ti]);
-  } else {
-    stats.kernel = "fused_vectors";
-    stats.simd = "scalar";  // visit_row loops, no vector dispatch
-    std::vector<linalg::Vec> u(n + 1, linalg::zeros(num_states));
-    for (std::size_t i = 0; i < num_states; ++i) u[0][i] = seed_value(i);
-    std::vector<linalg::Vec> u_next(n + 1, linalg::zeros(num_states));
-    std::vector<std::vector<linalg::Vec>> acc(
-        times.size(),
-        std::vector<linalg::Vec>(n + 1, linalg::zeros(num_states)));
-
-    // k = 0 contribution.
-    for (std::size_t ti = 0; ti < times.size(); ++ti) {
-      const double qt = scaled.q * times[ti];
-      const double w0 = qt > 0.0 ? windows[ti].weight(0) : 1.0;
-      if (w0 != 0.0) linalg::axpy(w0, u[0], acc[ti][0]);
-    }
-
-    const std::int64_t sweep_t0 = obs::now_ns();
-    const std::int64_t busy0 = detail::parallel_busy_metric().total_ns();
-    std::vector<ActiveWeight> active;
-    active.reserve(times.size());
-    for (std::size_t k = 1; k <= g_max; ++k) {
-      active.clear();
-      for (std::size_t ti = 0; ti < times.size(); ++ti) {
-        if (k > trunc[ti]) continue;
-        const double w = windows[ti].weight(k);
-        if (w != 0.0) active.push_back(ActiveWeight{ti, w});
-      }
-      stats.active_weight_sum += active.size();
-      const std::int64_t k_t0 = obs::now_ns();
-      if (use_sell)
-        fused_recursion_step(sell, scaled, n, j_lo, u, u_next, active, acc);
-      else
-        fused_recursion_step(scaled.q_prime, scaled, n, j_lo, u, u_next,
-                             active, acc);
-      if constexpr (check::kChecked) {
-        for (std::size_t j = 0; j <= n; ++j)
-          check::check_sweep_column(u[j], k, j, subtraction_free,
-                                    /*apply_majorant=*/true, caller);
-      }
-      detail::record_sweep_step(k_t0, k, active.size());
-    }
-    detail::finish_sweep_stats(stats, sweep_t0, busy0);
-
-    // Retain panels regardless of kernel: the vector->panel copy preserves
-    // every bit, so the finalize path is kernel-agnostic.
-    sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
-    for (std::size_t ti = 0; ti < times.size(); ++ti)
-      for (std::size_t j = 0; j <= n; ++j)
-        sweep.acc[ti].set_col(j, acc[ti][j]);
-  }
-
-  if (!perm.empty()) {
-    // Back to the model's state order: pure row moves, no arithmetic, so
-    // nothing downstream can tell a reordered sweep ran.
-    for (linalg::Panel& p : sweep.acc)
-      p = linalg::unpermute_panel_rows(p, perm);
-  }
-
-  stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
-  return sweep;
+/// The plain solves' sweep: scale_model, then the shared core with the
+/// Theorem-3 recursion. @p terminal_weights empty selects the plain sweep,
+/// non-empty the terminal-weighted one.
+RetainedSweep run_plain_sweep(const SecondOrderMrm& model,
+                              std::span<const double> times,
+                              const MomentSolverOptions& options,
+                              std::span<const double> terminal_weights,
+                              const char* caller) {
+  const std::int64_t t0 = obs::now_ns();
+  detail::SweepSpec spec;
+  spec.scaled = scale_model(model, options.scale_policy, options.center);
+  spec.terminal_weights = terminal_weights;
+  spec.caller = caller;
+  return detail::run_sweep(model, times, options, std::move(spec), t0);
 }
 
 /// Validates a terminal-weight vector against the model, throwing with the
@@ -702,6 +331,254 @@ void validate_terminal_weights(std::span<const double> weights,
 }
 
 }  // namespace
+
+namespace detail {
+
+TruncationRule theorem4_rule() {
+  return {&RandomizationMomentSolver::truncation_point, &theorem4_error_bound};
+}
+
+RetainedSweep run_sweep(const SecondOrderMrm& model,
+                        std::span<const double> times,
+                        const MomentSolverOptions& options, SweepSpec spec,
+                        std::int64_t t0) {
+  const std::size_t n = options.max_moment;
+  const std::size_t num_states = model.num_states();
+  const std::span<const double> terminal_weights = spec.terminal_weights;
+  const bool weighted = !terminal_weights.empty();
+  const double w_max = weighted ? linalg::max_elem(terminal_weights) : 1.0;
+  ScaledModel& scaled = spec.scaled;
+  std::vector<linalg::CsrMatrix>& impulse = spec.impulse;
+  const char* caller = spec.caller;
+
+  RetainedSweep sweep;
+  sweep.times.assign(times.begin(), times.end());
+  sweep.max_moment = n;
+  sweep.epsilon = options.epsilon;
+  sweep.center = options.center;
+  sweep.q = scaled.q;
+  sweep.d = scaled.d;
+  sweep.shift = scaled.shift;
+  sweep.terminal_weighted = weighted;
+  sweep.prefactor = weighted ? w_max : 1.0;
+
+  obs::SolverStats& stats = sweep.stats;
+  stats.threads = linalg::num_threads();
+  stats.reorder = "none";
+  stats.panel_width = n + 1;
+  stats.scale_seconds = obs::seconds_between(t0, obs::now_ns());
+
+  // Degenerate chain: no transitions ever happen (hence no impulses
+  // either), so conditioned on Z(0) = i the reward is exactly a Brownian
+  // motion with (r_i, sigma_i^2) and the moments are the closed-form normal
+  // moments (times the terminal weight, which only sees the frozen state
+  // Z(t) = Z(0) = i). The panels hold FINAL per-state values; finalize only
+  // contracts with pi.
+  if (scaled.q == 0.0) {
+    sweep.degenerate = true;
+    sweep.prefactor = 1.0;
+    stats.kernel = "degenerate";
+    stats.simd = "none";
+    stats.panel_width = 0;
+    sweep.acc.assign(times.size(), linalg::Panel(num_states, n + 1, 0.0));
+    for (std::size_t ti = 0; ti < times.size(); ++ti) {
+      for (std::size_t i = 0; i < num_states; ++i) {
+        const auto m = prob::brownian_raw_moments(
+            model.drifts()[i] - options.center, model.variances()[i],
+            times[ti], n);
+        const double wi = weighted ? terminal_weights[i] : 1.0;
+        for (std::size_t j = 0; j <= n; ++j) sweep.acc[ti](i, j) = m[j] * wi;
+      }
+    }
+    stats.total_seconds = obs::seconds_between(t0, obs::now_ns());
+    return sweep;
+  }
+
+  // Optional bandwidth-reduction reorder (linalg/reorder.hpp): the sweep
+  // runs on the permuted state space — Q', R', S' and every A~_l permuted
+  // alike — and the retained panels are permuted back just before return.
+  // permute_symmetric preserves every row's stored-entry order, so the
+  // arithmetic chain — and hence every output bit — is identical under any
+  // policy; only memory locality changes.
+  std::vector<std::size_t> perm;  // perm[new] = old; empty = no reorder
+  stats.bandwidth_before = linalg::bandwidth(scaled.q_prime);
+  stats.bandwidth_after = stats.bandwidth_before;
+  if (options.reorder != ReorderPolicy::kNone) {
+    const std::int64_t reorder_t0 = obs::now_ns();
+    perm = options.reorder == ReorderPolicy::kRcm
+               ? linalg::rcm_permutation(scaled.q_prime)
+               : linalg::degree_permutation(scaled.q_prime);
+    if (linalg::is_identity_permutation(perm)) {
+      perm.clear();  // already optimal; skip the permuted copies
+    } else {
+      scaled.q_prime = linalg::permute_symmetric(scaled.q_prime, perm);
+      scaled.r_prime = linalg::permute_vector(scaled.r_prime, perm);
+      scaled.s_prime = linalg::permute_vector(scaled.s_prime, perm);
+      for (linalg::CsrMatrix& a : impulse)
+        a = linalg::permute_symmetric(a, perm);
+      stats.bandwidth_after = linalg::bandwidth(scaled.q_prime);
+    }
+    stats.reorder = options.reorder == ReorderPolicy::kRcm ? "rcm" : "degree";
+    stats.scale_seconds += obs::seconds_between(reorder_t0, obs::now_ns());
+  }
+
+  // Truncation per time point: honour epsilon for every moment order 0..n,
+  // so take the max of the per-order G values. The per-order maxima over
+  // the time points land in stats.truncation_points.
+  const std::int64_t trunc_t0 = obs::now_ns();
+  std::vector<std::size_t>& trunc = sweep.truncation_points;
+  trunc.assign(times.size(), 0);
+  sweep.error_bounds.assign(times.size(), 0.0);
+  stats.truncation_points.assign(n + 1, 0);
+  std::size_t g_max = 0;
+  for (std::size_t ti = 0; ti < times.size(); ++ti) {
+    const double qt = scaled.q * times[ti];
+    std::size_t g = 0;
+    for (std::size_t j = 0; j <= n; ++j) {
+      const std::size_t gj = spec.rule.point(qt, j, scaled.d, options.epsilon);
+      stats.truncation_points[j] = std::max(stats.truncation_points[j], gj);
+      g = std::max(g, gj);
+    }
+    trunc[ti] = g;
+    // Theorem 4 applies to the weighted sweep unchanged: the normalized
+    // seed w/w_max is <= h, so Lemma 2's majorant still dominates.
+    sweep.error_bounds[ti] = spec.rule.bound(qt, n, scaled.d, g);
+    if constexpr (check::kChecked) {
+      check::check_truncation_bound(
+          sweep.error_bounds[ti],
+          g > 0 ? spec.rule.bound(qt, n, scaled.d, g - 1)
+                : sweep.error_bounds[ti],
+          options.epsilon, g, caller);
+    }
+    g_max = std::max(g_max, g);
+  }
+  stats.truncation_seconds = obs::seconds_between(trunc_t0, obs::now_ns());
+  const bool subtraction_free = is_subtraction_free(scaled, impulse);
+
+  // Per-time-point Poisson weight tables, one lgamma each (mode-centered
+  // multiplicative recurrence with left truncation).
+  const std::int64_t window_t0 = obs::now_ns();
+  std::vector<prob::PoissonWindow> windows(times.size());
+  stats.window_widths.assign(times.size(), 0);
+  for (std::size_t ti = 0; ti < times.size(); ++ti) {
+    const double qt = scaled.q * times[ti];
+    if (qt > 0.0) windows[ti] = prob::poisson_weight_window(qt, trunc[ti]);
+    stats.window_widths[ti] = windows[ti].weights.size();
+    obs::trace_counter("poisson.window_width",
+                       static_cast<double>(windows[ti].weights.size()));
+  }
+  stats.window_seconds = obs::seconds_between(window_t0, obs::now_ns());
+
+  // Section-6-style sweep cost: per step Q' streams against the iterated
+  // lanes (the plain sweep's j = 0 column is invariant, j_lo = 1; the
+  // weighted seed is not, j_lo = 0) and each impulse matrix A~_l against
+  // the n+1-l lanes of its convolution band.
+  const std::size_t j_lo = weighted ? 0 : 1;
+  std::size_t flops_per_step = 2 * scaled.q_prime.nnz() * (n + 1 - j_lo);
+  for (std::size_t l = 1; l <= impulse.size(); ++l)
+    flops_per_step += 2 * impulse[l - 1].nnz() * (n + 1 - l);
+  stats.sweep_steps = g_max;
+  stats.sweep_flops = g_max * flops_per_step;
+
+  // The step kernel is chosen once per sweep from the dispatch level: the
+  // fused row kernel runs its AVX2 body at any level >= kAvx2; the wide
+  // path's SpMMs dispatch on the level itself.
+  const std::size_t width = n + 1;
+  const linalg::simd::Level level = linalg::simd::active_level();
+  const bool avx2 = level >= linalg::simd::Level::kAvx2;
+  const bool wide = spec.impulse_recursion || width > kFusedMaxWidth;
+  const StepRowsFn rows =
+      wide ? nullptr
+           : (avx2 ? kStepRows<true> : kStepRows<false>)[j_lo][width - 1];
+  stats.kernel = spec.impulse_recursion ? "impulse_panel" : "panel";
+  stats.simd = linalg::simd::level_name(
+      wide   ? level
+      : avx2 ? linalg::simd::Level::kAvx2
+             : linalg::simd::Level::kScalar);
+
+  linalg::Panel u(num_states, width, 0.0);
+  linalg::Panel u_next(num_states, width, 0.0);
+  for (std::size_t i = 0; i < num_states; ++i) {
+    // Row i of the (possibly permuted) sweep is model state perm[i].
+    u(i, 0) = weighted ? terminal_weights[perm.empty() ? i : perm[i]] / w_max
+                       : 1.0;
+  }
+  if (!weighted) u_next.fill_col(0, 1.0);  // invariant column survives swaps
+  sweep.acc.assign(times.size(), linalg::Panel(num_states, width, 0.0));
+  std::vector<linalg::Panel>& acc = sweep.acc;
+  // Plain sweep: acc(i, 0) = 0 + w_0 * 1 + sum_k w_k * 1 is one scalar
+  // chain, the same for every state, so it is summed once per time point
+  // here and filled at sweep end instead of per state (x * 1.0 == x
+  // exactly, so the bits are those of the per-state chain).
+  std::vector<double> ones_acc(weighted ? 0 : times.size(), 0.0);
+
+  // k = 0 contribution.
+  for (std::size_t ti = 0; ti < times.size(); ++ti) {
+    const double qt = scaled.q * times[ti];
+    const double w0 = qt > 0.0 ? windows[ti].weight(0) : 1.0;
+    if (w0 == 0.0) continue;
+    if (!weighted) {
+      ones_acc[ti] += w0;
+    } else {
+      for (std::size_t i = 0; i < num_states; ++i)
+        acc[ti](i, 0) += w0 * u(i, 0);
+    }
+  }
+
+  const std::int64_t sweep_t0 = obs::now_ns();
+  const std::int64_t busy0 = parallel_busy_metric().total_ns();
+  std::vector<ActiveWeight> active;
+  active.reserve(times.size());
+  for (std::size_t k = 1; k <= g_max; ++k) {
+    active.clear();
+    for (std::size_t ti = 0; ti < times.size(); ++ti) {
+      if (k > trunc[ti]) continue;
+      const double w = windows[ti].weight(k);
+      if (w != 0.0) active.push_back(ActiveWeight{ti, w});
+    }
+    stats.active_weight_sum += active.size();
+    if (!weighted)
+      for (const ActiveWeight& aw : active) ones_acc[aw.ti] += aw.w;
+    const std::int64_t k_t0 = obs::now_ns();
+    panel_step(rows, scaled, impulse, n, j_lo, u, u_next, active, acc);
+    if constexpr (check::kChecked)
+      check::check_sweep_panel(u, k, j_lo, subtraction_free,
+                               /*apply_majorant=*/!spec.impulse_recursion,
+                               caller);
+    record_sweep_step(k_t0, k, active.size());
+  }
+  finish_sweep_stats(stats, sweep_t0, busy0);
+  for (std::size_t ti = 0; ti < ones_acc.size(); ++ti)
+    acc[ti].fill_col(0, ones_acc[ti]);
+
+  if (!perm.empty()) {
+    // Back to the model's state order: pure row moves, no arithmetic, so
+    // nothing downstream can tell a reordered sweep ran.
+    for (linalg::Panel& p : sweep.acc)
+      p = linalg::unpermute_panel_rows(p, perm);
+  }
+
+  stats.total_seconds = obs::seconds_between(t0, obs::now_ns());
+  return sweep;
+}
+
+std::vector<MomentResult> finalize_all(RetainedSweep& sweep,
+                                       std::span<const double> initial,
+                                       std::int64_t t0) {
+  const std::int64_t finalize_t0 = obs::now_ns();
+  std::vector<MomentResult> results;
+  results.reserve(sweep.times.size());
+  for (std::size_t ti = 0; ti < sweep.times.size(); ++ti)
+    results.push_back(
+        finalize_from_sweep(sweep, ti, initial, sweep.max_moment));
+  sweep.stats.finalize_seconds =
+      obs::seconds_between(finalize_t0, obs::now_ns());
+  sweep.stats.total_seconds = obs::seconds_between(t0, obs::now_ns());
+  for (MomentResult& r : results) r.stats = sweep.stats;
+  return results;
+}
+
+}  // namespace detail
 
 void validate_solver_inputs(std::span<const double> times,
                             const MomentSolverOptions& options,
@@ -778,16 +655,10 @@ MomentResult RandomizationMomentSolver::solve_terminal_weighted(
   const std::int64_t total_t0 = obs::now_ns();
   obs::TraceScope solve_scope("solve_terminal_weighted", "solver");
 
-  RetainedSweep sweep = run_sweep(model_, time_list, options, terminal_weights,
-                                  "solve_terminal_weighted");
-
-  const std::int64_t finalize_t0 = obs::now_ns();
-  MomentResult out = finalize_from_sweep(sweep, 0, model_.initial(),
-                                         options.max_moment);
-  out.stats.finalize_seconds =
-      obs::seconds_between(finalize_t0, obs::now_ns());
-  out.stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
-  return out;
+  RetainedSweep sweep = run_plain_sweep(model_, time_list, options,
+                                        terminal_weights,
+                                        "solve_terminal_weighted");
+  return detail::finalize_all(sweep, model_.initial(), total_t0).front();
 }
 
 RetainedSweep RandomizationMomentSolver::sweep_retained(
@@ -797,7 +668,8 @@ RetainedSweep RandomizationMomentSolver::sweep_retained(
     validate_terminal_weights(terminal_weights, model_.num_states(),
                               "sweep_retained");
   validate_solver_inputs(times, options, "sweep_retained");
-  return run_sweep(model_, times, options, terminal_weights, "sweep_retained");
+  return run_plain_sweep(model_, times, options, terminal_weights,
+                         "sweep_retained");
 }
 
 bool bit_identical(const RetainedSweep& a, const RetainedSweep& b) {
@@ -933,19 +805,9 @@ std::vector<MomentResult> RandomizationMomentSolver::solve_multi(
   obs::TraceScope solve_scope("solve_multi", "solver", "times",
                               static_cast<double>(times.size()));
 
-  RetainedSweep sweep = run_sweep(model_, times, options, {}, "solve_multi");
-
-  const std::int64_t finalize_t0 = obs::now_ns();
-  std::vector<MomentResult> results;
-  results.reserve(times.size());
-  for (std::size_t ti = 0; ti < times.size(); ++ti)
-    results.push_back(finalize_from_sweep(sweep, ti, model_.initial(),
-                                          options.max_moment));
-  sweep.stats.finalize_seconds =
-      obs::seconds_between(finalize_t0, obs::now_ns());
-  sweep.stats.total_seconds = obs::seconds_between(total_t0, obs::now_ns());
-  for (MomentResult& r : results) r.stats = sweep.stats;
-  return results;
+  RetainedSweep sweep =
+      run_plain_sweep(model_, times, options, {}, "solve_multi");
+  return detail::finalize_all(sweep, model_.initial(), total_t0);
 }
 
 }  // namespace somrm::core

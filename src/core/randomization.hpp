@@ -24,9 +24,9 @@
 //    row_ptr/col_idx/values arrays once per moment order
 //    (linalg::parallel_for; thread count via SOMRM_NUM_THREADS or
 //    linalg::set_num_threads). Outputs are row-owned and the per-element
-//    accumulation order matches the scalar original, so results are
-//    bit-identical for every thread count AND to the pre-panel kernel
-//    (selectable via MomentSolverOptions::kernel for regression checks).
+//    accumulation order is fixed, so results are bit-identical for every
+//    thread count and SIMD level; tests/test_golden_bits.cpp pins them.
+//    The same sweep core (core/sweep_core.hpp) runs the impulse solver.
 //  * Poisson weights come from per-time-point mode-centered weight tables
 //    (prob::poisson_weight_window, one lgamma per time point) and the
 //    Theorem-4 tail test is evaluated in log space, so qt ~ 40,000 (the
@@ -55,20 +55,6 @@
 
 namespace somrm::core {
 
-/// Which sweep kernel carries the U-recursion.
-enum class SweepKernel {
-  /// Panel (multi-vector SpMM) kernel: the iterates U^(0..n)(k) live in one
-  /// contiguous row-major linalg::Panel and each sweep step streams the CSR
-  /// structure ONCE, multiplying every matrix entry against n+1 contiguous
-  /// doubles. Default — fastest, bit-identical to kFusedVectors.
-  kPanel,
-  /// The pre-panel fused kernel: one vector per moment order, the CSR
-  /// structure re-streamed once per order per step. Kept for regression
-  /// benchmarking and for the bit-identity tests that pin the panel kernel
-  /// to the historical solver output.
-  kFusedVectors,
-};
-
 /// CSR bandwidth-reduction reordering applied at sweep setup (see
 /// linalg/reorder.hpp). The sweep runs on the permuted state space and the
 /// retained accumulator panels are permuted back before anything escapes,
@@ -78,17 +64,6 @@ enum class ReorderPolicy {
   kNone,    ///< solve in the model's own state order (default)
   kRcm,     ///< reverse Cuthill–McKee on the symmetrized Q' pattern
   kDegree,  ///< ascending-degree ordering (cheaper, weaker)
-};
-
-/// Sparse storage format Q' is streamed from during the sweep (see
-/// linalg/sellcs.hpp). SELL-C-σ runs on a σ-sorted row order expressed as
-/// an explicit permutation that composes with the reorder permutation, and
-/// every kernel walks each row's entries in its CSR order, so — like
-/// ReorderPolicy — the choice changes memory traffic, never a single
-/// output bit (asserted by test_sellcs.cpp).
-enum class StorageFormat {
-  kCsr,     ///< plain three-array CSR (default)
-  kSellCs,  ///< SELL-C-σ sliced ELLPACK, C = 8, σ = 64
 };
 
 struct MomentSolverOptions {
@@ -106,20 +81,11 @@ struct MomentSolverOptions {
   /// converting raw moments — essential when feeding 20+ moments into the
   /// distribution-bound module (Figures 5-7). 0 = plain raw moments.
   double center = 0.0;
-  /// Sweep kernel. Both kernels produce bit-identical results at every
-  /// thread count (asserted by RandomizationThreadTest); kFusedVectors
-  /// exists to measure and pin that equivalence.
-  SweepKernel kernel = SweepKernel::kPanel;
   /// Bandwidth-reduction reorder for the sweep (bit-exact no matter what —
   /// see ReorderPolicy). kNone by default: the bundled model builders
   /// already emit near-banded orderings, so the pass pays off mainly for
   /// externally loaded models with scattered state numbering.
   ReorderPolicy reorder = ReorderPolicy::kNone;
-  /// Sparse storage the sweep streams Q' from (bit-exact no matter what —
-  /// see StorageFormat). kCsr by default; kSellCs trades a one-time
-  /// conversion (reported in SolverStats::padding_ratio) for the blocked
-  /// layout.
-  StorageFormat storage = StorageFormat::kCsr;
 };
 
 /// Result of a moment computation at one time point.
@@ -133,7 +99,8 @@ struct MomentResult {
   /// Theorem-4 truncation point actually used.
   std::size_t truncation_point = 0;
   /// Theorem-4 error bound achieved at the truncation point for the highest
-  /// moment (0 when it underflows double range).
+  /// moment — the (4 d qt)^n variant for ImpulseMomentSolver — (0 when it
+  /// underflows double range).
   double error_bound = 0.0;
   /// Scaling constants for diagnostics (match section 6 / Table 2 notes).
   double q = 0.0;

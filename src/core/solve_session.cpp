@@ -93,8 +93,6 @@ std::string solve_key(std::span<const double> times,
   h.update_doubles(std::span<const double>(&options.epsilon, 1));
   h.update_doubles(std::span<const double>(&options.center, 1));
   h.update_u64(static_cast<std::uint64_t>(options.scale_policy));
-  h.update_u64(static_cast<std::uint64_t>(options.kernel));
-  h.update_u64(static_cast<std::uint64_t>(options.storage));
   return h.hex();
 }
 

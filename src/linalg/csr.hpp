@@ -144,10 +144,9 @@ class CsrMatrix {
                            bool accumulate) const;
 
   /// Calls fn(col, value) for row i's stored entries in ascending k — the
-  /// accumulation order every kernel uses. The fused solver sweeps are
-  /// templated over the storage format via this hook; SellCsMatrix
-  /// (linalg/sellcs.hpp) provides the same signature with its stride-C
-  /// walk, so per element the arithmetic chain is shared.
+  /// accumulation order every kernel uses. The sweep's fused row kernel
+  /// (core/randomization.cpp) walks rows through this hook, so the callback
+  /// inlines into its lane-pack body.
   template <class Fn>
   void visit_row(std::size_t i, Fn&& fn) const {
     for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k)

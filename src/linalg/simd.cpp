@@ -278,264 +278,6 @@ void panel_rows_avx512(const std::size_t* row_ptr, const std::size_t* col_idx,
   }
 }
 
-// ---- SELL-C-σ variants: identical lane discipline, stride-C entry walk. -
-//
-// Row i's j-th entry sits at chunk_ptr[i / C] + j * C + (i % C); the loops
-// below iterate j < row_len[i] only, so the padding slots of a chunk slab
-// are never loaded — inert by construction, not by arithmetic accident.
-// Per panel column the multiply-then-add chain is exactly the CSR kernels',
-// so SELL-C-σ output is bit-identical to CSR output at every level.
-
-template <std::size_t CW>
-__attribute__((target("avx2"))) void sell_rows_avx2_fixed(
-    const SellView& m, const double* xbase, std::size_t xw, double* ybase,
-    std::size_t yw, std::size_t row_begin, std::size_t row_end,
-    bool accumulate) {
-  constexpr std::size_t kFull = CW / 4;
-  constexpr std::size_t kTail = CW % 4;
-  const __m256i tail_mask = avx2_tail_mask(kTail);
-  const std::size_t chunk = m.chunk;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const std::size_t base = m.chunk_ptr[i / chunk] + (i % chunk);
-    const std::size_t len = m.row_len[i];
-    __m256d acc[kFull > 0 ? kFull : 1];
-    for (std::size_t v = 0; v < kFull; ++v) acc[v] = _mm256_setzero_pd();
-    __m256d acc_tail = _mm256_setzero_pd();
-    for (std::size_t j = 0; j < len; ++j) {
-      const std::size_t e = base + j * chunk;
-      const __m256d vv = _mm256_set1_pd(m.values[e]);
-      const double* xr = xbase + m.col_idx[e] * xw;
-      for (std::size_t v = 0; v < kFull; ++v)
-        acc[v] = _mm256_add_pd(acc[v],
-                               _mm256_mul_pd(vv, _mm256_loadu_pd(xr + 4 * v)));
-      if constexpr (kTail > 0)
-        acc_tail = _mm256_add_pd(
-            acc_tail,
-            _mm256_mul_pd(vv, _mm256_maskload_pd(xr + 4 * kFull, tail_mask)));
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate) {
-      for (std::size_t v = 0; v < kFull; ++v)
-        _mm256_storeu_pd(
-            yr + 4 * v, _mm256_add_pd(_mm256_loadu_pd(yr + 4 * v), acc[v]));
-      if constexpr (kTail > 0)
-        _mm256_maskstore_pd(
-            yr + 4 * kFull, tail_mask,
-            _mm256_add_pd(_mm256_maskload_pd(yr + 4 * kFull, tail_mask),
-                          acc_tail));
-    } else {
-      for (std::size_t v = 0; v < kFull; ++v)
-        _mm256_storeu_pd(yr + 4 * v, acc[v]);
-      if constexpr (kTail > 0)
-        _mm256_maskstore_pd(yr + 4 * kFull, tail_mask, acc_tail);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void sell_rows_avx2_generic(
-    const SellView& m, const double* xbase, std::size_t xw, double* ybase,
-    std::size_t yw, std::size_t row_begin, std::size_t row_end, std::size_t cw,
-    bool accumulate) {
-  const std::size_t full = cw / 4;
-  const std::size_t tail = cw % 4;
-  const __m256i tail_mask = avx2_tail_mask(tail);
-  const std::size_t chunk = m.chunk;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const std::size_t base = m.chunk_ptr[i / chunk] + (i % chunk);
-    const std::size_t len = m.row_len[i];
-    __m256d acc[kMaxChunk / 4];
-    for (std::size_t v = 0; v < full; ++v) acc[v] = _mm256_setzero_pd();
-    __m256d acc_tail = _mm256_setzero_pd();
-    for (std::size_t j = 0; j < len; ++j) {
-      const std::size_t e = base + j * chunk;
-      const __m256d vv = _mm256_set1_pd(m.values[e]);
-      const double* xr = xbase + m.col_idx[e] * xw;
-      for (std::size_t v = 0; v < full; ++v)
-        acc[v] = _mm256_add_pd(acc[v],
-                               _mm256_mul_pd(vv, _mm256_loadu_pd(xr + 4 * v)));
-      if (tail > 0)
-        acc_tail = _mm256_add_pd(
-            acc_tail,
-            _mm256_mul_pd(vv, _mm256_maskload_pd(xr + 4 * full, tail_mask)));
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate) {
-      for (std::size_t v = 0; v < full; ++v)
-        _mm256_storeu_pd(
-            yr + 4 * v, _mm256_add_pd(_mm256_loadu_pd(yr + 4 * v), acc[v]));
-      if (tail > 0)
-        _mm256_maskstore_pd(
-            yr + 4 * full, tail_mask,
-            _mm256_add_pd(_mm256_maskload_pd(yr + 4 * full, tail_mask),
-                          acc_tail));
-    } else {
-      for (std::size_t v = 0; v < full; ++v)
-        _mm256_storeu_pd(yr + 4 * v, acc[v]);
-      if (tail > 0) _mm256_maskstore_pd(yr + 4 * full, tail_mask, acc_tail);
-    }
-  }
-}
-
-void sell_panel_rows_avx2(const SellView& m, const double* xbase,
-                          std::size_t xw, double* ybase, std::size_t yw,
-                          std::size_t row_begin, std::size_t row_end,
-                          std::size_t cw, bool accumulate) {
-  switch (cw) {
-    case 1:
-      sell_rows_avx2_fixed<1>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    case 2:
-      sell_rows_avx2_fixed<2>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    case 3:
-      sell_rows_avx2_fixed<3>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    case 4:
-      sell_rows_avx2_fixed<4>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    case 5:
-      sell_rows_avx2_fixed<5>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    case 6:
-      sell_rows_avx2_fixed<6>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    case 7:
-      sell_rows_avx2_fixed<7>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    case 8:
-      sell_rows_avx2_fixed<8>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                              accumulate);
-      break;
-    default:
-      sell_rows_avx2_generic(m, xbase, xw, ybase, yw, row_begin, row_end, cw,
-                             accumulate);
-      break;
-  }
-}
-
-template <std::size_t CW>
-__attribute__((target("avx512f"))) void sell_rows_avx512_fixed(
-    const SellView& m, const double* xbase, std::size_t xw, double* ybase,
-    std::size_t yw, std::size_t row_begin, std::size_t row_end,
-    bool accumulate) {
-  constexpr __mmask8 kMask = static_cast<__mmask8>((1u << CW) - 1u);
-  const std::size_t chunk = m.chunk;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const std::size_t base = m.chunk_ptr[i / chunk] + (i % chunk);
-    const std::size_t len = m.row_len[i];
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t j = 0; j < len; ++j) {
-      const std::size_t e = base + j * chunk;
-      const __m512d vv = _mm512_set1_pd(m.values[e]);
-      const double* xr = xbase + m.col_idx[e] * xw;
-      acc = _mm512_add_pd(acc,
-                          _mm512_mul_pd(vv, _mm512_maskz_loadu_pd(kMask, xr)));
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate)
-      _mm512_mask_storeu_pd(
-          yr, kMask, _mm512_add_pd(_mm512_maskz_loadu_pd(kMask, yr), acc));
-    else
-      _mm512_mask_storeu_pd(yr, kMask, acc);
-  }
-}
-
-__attribute__((target("avx512f"))) void sell_rows_avx512_generic(
-    const SellView& m, const double* xbase, std::size_t xw, double* ybase,
-    std::size_t yw, std::size_t row_begin, std::size_t row_end, std::size_t cw,
-    bool accumulate) {
-  const std::size_t full = cw / 8;
-  const std::size_t tail = cw % 8;
-  const __mmask8 tail_mask = static_cast<__mmask8>((1u << tail) - 1u);
-  const std::size_t chunk = m.chunk;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const std::size_t base = m.chunk_ptr[i / chunk] + (i % chunk);
-    const std::size_t len = m.row_len[i];
-    __m512d acc[kMaxChunk / 8];
-    for (std::size_t v = 0; v < full; ++v) acc[v] = _mm512_setzero_pd();
-    __m512d acc_tail = _mm512_setzero_pd();
-    for (std::size_t j = 0; j < len; ++j) {
-      const std::size_t e = base + j * chunk;
-      const __m512d vv = _mm512_set1_pd(m.values[e]);
-      const double* xr = xbase + m.col_idx[e] * xw;
-      for (std::size_t v = 0; v < full; ++v)
-        acc[v] = _mm512_add_pd(
-            acc[v], _mm512_mul_pd(vv, _mm512_loadu_pd(xr + 8 * v)));
-      if (tail > 0)
-        acc_tail = _mm512_add_pd(
-            acc_tail, _mm512_mul_pd(vv, _mm512_maskz_loadu_pd(
-                                            tail_mask, xr + 8 * full)));
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate) {
-      for (std::size_t v = 0; v < full; ++v)
-        _mm512_storeu_pd(
-            yr + 8 * v, _mm512_add_pd(_mm512_loadu_pd(yr + 8 * v), acc[v]));
-      if (tail > 0)
-        _mm512_mask_storeu_pd(
-            yr + 8 * full, tail_mask,
-            _mm512_add_pd(_mm512_maskz_loadu_pd(tail_mask, yr + 8 * full),
-                          acc_tail));
-    } else {
-      for (std::size_t v = 0; v < full; ++v)
-        _mm512_storeu_pd(yr + 8 * v, acc[v]);
-      if (tail > 0)
-        _mm512_mask_storeu_pd(yr + 8 * full, tail_mask, acc_tail);
-    }
-  }
-}
-
-void sell_panel_rows_avx512(const SellView& m, const double* xbase,
-                            std::size_t xw, double* ybase, std::size_t yw,
-                            std::size_t row_begin, std::size_t row_end,
-                            std::size_t cw, bool accumulate) {
-  switch (cw) {
-    case 1:
-      sell_rows_avx512_fixed<1>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    case 2:
-      sell_rows_avx512_fixed<2>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    case 3:
-      sell_rows_avx512_fixed<3>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    case 4:
-      sell_rows_avx512_fixed<4>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    case 5:
-      sell_rows_avx512_fixed<5>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    case 6:
-      sell_rows_avx512_fixed<6>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    case 7:
-      sell_rows_avx512_fixed<7>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    case 8:
-      sell_rows_avx512_fixed<8>(m, xbase, xw, ybase, yw, row_begin, row_end,
-                                accumulate);
-      break;
-    default:
-      sell_rows_avx512_generic(m, xbase, xw, ybase, yw, row_begin, row_end,
-                               cw, accumulate);
-      break;
-  }
-}
-
 #endif  // SOMRM_SIMD_X86
 
 Level clamp_to_supported(Level level) {
@@ -601,22 +343,6 @@ PanelRowsFn panel_rows_kernel() {
       return &panel_rows_avx512;
     case Level::kAvx2:
       return &panel_rows_avx2;
-    case Level::kScalar:
-    default:
-      return nullptr;
-  }
-#else
-  return nullptr;
-#endif
-}
-
-SellPanelRowsFn sell_panel_rows_kernel() {
-#if SOMRM_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx512:
-      return &sell_panel_rows_avx512;
-    case Level::kAvx2:
-      return &sell_panel_rows_avx2;
     case Level::kScalar:
     default:
       return nullptr;

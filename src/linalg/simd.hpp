@@ -71,29 +71,4 @@ using PanelRowsFn = void (*)(const std::size_t* row_ptr,
 /// is kScalar (the caller runs its own scalar kernels).
 PanelRowsFn panel_rows_kernel();
 
-/// Raw view of a SELL-C-σ matrix (linalg/sellcs.hpp): row i's j-th stored
-/// entry lives at chunk_ptr[i / chunk] + j * chunk + (i % chunk), and only
-/// j < row_len[i] slots are real — kernels must never touch the padding.
-struct SellView {
-  const std::size_t* chunk_ptr;  ///< per-chunk slab offset (+ end sentinel)
-  const std::size_t* row_len;    ///< stored entries per row
-  const std::size_t* col_idx;    ///< slice-major columns
-  const double* values;          ///< slice-major values
-  std::size_t chunk;             ///< chunk height C
-};
-
-/// SELL-C-σ SpMM row kernel with the same column-window/accumulate contract
-/// as PanelRowsFn: per row the stride-C entry walk is the row's CSR entry
-/// order, and panel columns sit in the SIMD lanes, so each lane runs the
-/// scalar multiply-then-add chain exactly (no FMA, no reassociation — the
-/// same bit-exactness contract as the CSR kernels above).
-using SellPanelRowsFn = void (*)(const SellView& m, const double* xbase,
-                                 std::size_t xw, double* ybase, std::size_t yw,
-                                 std::size_t row_begin, std::size_t row_end,
-                                 std::size_t cw, bool accumulate);
-
-/// The SELL-C-σ vector kernel for the active level, or nullptr when the
-/// active level is kScalar (SellCsMatrix runs its scalar reference).
-SellPanelRowsFn sell_panel_rows_kernel();
-
 }  // namespace somrm::linalg::simd

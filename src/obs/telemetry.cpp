@@ -231,16 +231,6 @@ std::string report(const SolverStats& stats) {
   os << "solver stats (" << (stats.kernel.empty() ? "?" : stats.kernel)
      << " kernel, width " << stats.panel_width << ", " << stats.threads
      << " thread" << (stats.threads == 1 ? "" : "s") << ")\n";
-  if (!stats.storage.empty()) {
-    os << "  storage: " << stats.storage;
-    if (stats.storage == "sellcs") {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.2f%% padding, %.4f occupancy",
-                    stats.padding_ratio * 100.0, stats.chunk_occupancy);
-      os << " (" << buf << ")";
-    }
-    os << "\n";
-  }
   os << "  G(eps) per moment:";
   for (std::size_t g : stats.truncation_points) os << " " << g;
   os << "\n  Poisson window width per time point:";

@@ -55,8 +55,8 @@ constexpr bool kEnabled = SOMRM_OBSERVABILITY != 0;
 /// Pois(k; q t_i) above DBL_MIN — the k-range that actually contributes to
 /// V^(n)(t_i).
 struct SolverStats {
-  /// Sweep kernel that ran: "panel", "fused_vectors", "degenerate" (q == 0
-  /// closed form), or "impulse_panel"/"impulse_fused_vectors".
+  /// Sweep kernel that ran: "panel", "impulse_panel", or "degenerate"
+  /// (q == 0 closed form).
   std::string kernel;
   /// SIMD level the sweep's step kernel actually ran at: "scalar",
   /// "avx2" or "avx512" (linalg::simd; the fused row kernel for widths
@@ -68,16 +68,6 @@ struct SolverStats {
   /// or "degree" (MomentSolverOptions::reorder). Outputs are permuted back,
   /// so this too records locality, not values.
   std::string reorder;
-  /// Sparse storage Q' was streamed from: "csr", "sellcs"
-  /// (MomentSolverOptions::storage), or "none" for the degenerate q == 0
-  /// closed form, which builds no sparse matrix at all. Bit-exact either
-  /// way — like simd/reorder, this records traffic, not values.
-  std::string storage;
-  /// SELL-C-σ padding diagnostics: the fraction of allocated entry slots
-  /// that are zero padding and its complement nnz / allocated. 0 and 1
-  /// respectively for CSR (nothing padded) and the degenerate path.
-  double padding_ratio = 0.0;
-  double chunk_occupancy = 1.0;
   /// CSR bandwidth of Q' before/after the reorder (equal when reorder is
   /// "none" or the computed permutation was the identity).
   std::size_t bandwidth_before = 0;

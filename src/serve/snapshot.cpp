@@ -140,9 +140,6 @@ void write_stats(Writer& w, const obs::SolverStats& s) {
   w.str(s.kernel);
   w.str(s.simd);
   w.str(s.reorder);
-  w.str(s.storage);
-  w.f64(s.padding_ratio);
-  w.f64(s.chunk_occupancy);
   w.u64(s.bandwidth_before);
   w.u64(s.bandwidth_after);
   w.u64(s.panel_width);
@@ -173,9 +170,6 @@ obs::SolverStats read_stats(Reader& r) {
   s.kernel = r.str();
   s.simd = r.str();
   s.reorder = r.str();
-  s.storage = r.str();
-  s.padding_ratio = r.f64();
-  s.chunk_occupancy = r.f64();
   s.bandwidth_before = static_cast<std::size_t>(r.u64());
   s.bandwidth_after = static_cast<std::size_t>(r.u64());
   s.panel_width = static_cast<std::size_t>(r.u64());

@@ -5,7 +5,7 @@
 // reload, the first query against a persisted (model, solve key, weights)
 // combination is a cache HIT and runs no sweep at all.
 //
-// Format (version 1, fixed-width little-style host integers, cross-endian
+// Format (version 2, fixed-width little-style host integers, cross-endian
 // loads rejected by the probe word):
 //
 //   magic    "SOMRMSWP"                         8 bytes
@@ -16,6 +16,11 @@
 //            payload: times / scalars / flags / truncation_points /
 //            error_bounds / accumulator panels (u64 rows, u64 width,
 //            rows*width doubles) / the sweep-phase SolverStats
+//
+// Version 2 dropped the SolverStats storage, padding_ratio and
+// chunk_occupancy fields (and the solve key no longer hashes the removed
+// kernel/storage options); version-1 files fail with "format version
+// mismatch".
 //   check    u64  FNV-1a-64 over every byte before it
 //
 // Every double travels by bit pattern, so the round trip is bit-exact:
@@ -37,7 +42,7 @@ namespace somrm::serve {
 
 /// Current snapshot format version. Bumped on any layout change; a reader
 /// refuses other versions rather than guessing at field offsets.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Snapshot save/load failure. The what() string names the reason: "bad
 /// magic", "format version mismatch", "endianness mismatch", "checksum

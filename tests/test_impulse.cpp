@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "linalg/parallel.hpp"
 #include "linalg/simd.hpp"
 #include "prob/normal.hpp"
+#include "prob/poisson.hpp"
 #include "sim/impulse_simulator.hpp"
 
 namespace somrm::core {
@@ -344,35 +346,103 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(-0.7, 0.3, 1.5),  // impulse mean
                        ::testing::Values(0.2, 1.0)));      // horizon
 
-TEST(ImpulseSolverTest, PanelKernelBitIdenticalToLegacyKernel) {
-  // The panel sweep (including the ascending-l impulse convolution) keeps
-  // the legacy kernel's per-element arithmetic order, so it must match
-  // bit-for-bit at every thread count.
+/// A chain on @p n states whose labels are scattered by a stride, so the
+/// RCM and degree orderings are not the identity; drifts of both signs.
+SecondOrderMrm scattered_chain(std::size_t n) {
+  std::vector<Triplet> rates;
+  const auto label = [n](std::size_t i) { return (i * 17 + 5) % n; };
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    rates.push_back(
+        {label(i), label(i + 1), 1.0 + 0.1 * static_cast<double>(i % 7)});
+    rates.push_back(
+        {label(i + 1), label(i), 0.8 + 0.05 * static_cast<double>(i % 5)});
+  }
+  Vec drifts(n), vars(n), initial(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    drifts[i] = (i % 4 == 0 ? -0.5 : 1.0) + 0.01 * static_cast<double>(i % 9);
+    vars[i] = 0.1 + 0.02 * static_cast<double>(i % 6);
+  }
+  initial[label(0)] = 1.0;
+  return SecondOrderMrm(ctmc::Generator::from_rates(n, rates),
+                        std::move(drifts), std::move(vars),
+                        std::move(initial));
+}
+
+bool same_bits(const std::vector<MomentResult>& a,
+               const std::vector<MomentResult>& b) {
+  const auto eq = [](const Vec& x, const Vec& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  if (a.size() != b.size()) return false;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    if (!eq(a[t].weighted, b[t].weighted) ||
+        a[t].per_state.size() != b[t].per_state.size() ||
+        a[t].truncation_point != b[t].truncation_point ||
+        std::memcmp(&a[t].error_bound, &b[t].error_bound, sizeof(double)) != 0)
+      return false;
+    for (std::size_t j = 0; j < a[t].per_state.size(); ++j)
+      if (!eq(a[t].per_state[j], b[t].per_state[j])) return false;
+  }
+  return true;
+}
+
+TEST(ImpulseSolverTest, BitIdenticalAcrossSimdLevelsThreadsAndReorders) {
+  // The impulse sweep runs on the shared core: every compiled SIMD level,
+  // thread count and reorder policy must reproduce the default run bit for
+  // bit. 2,501 states split into uneven parallel ranges at 2 and 4 threads;
+  // n = 3 and n = 9 cover narrow and wide panels.
+  const ImpulseMomentSolver solver(SecondOrderImpulseMrm::uniform_impulse(
+      scattered_chain(2501), -0.3, 0.2));
+  const std::vector<double> times{0.2, 0.7};
+  std::vector<linalg::simd::Level> levels{linalg::simd::Level::kScalar};
+  for (const linalg::simd::Level l :
+       {linalg::simd::Level::kAvx2, linalg::simd::Level::kAvx512})
+    if (l <= linalg::simd::highest_supported()) levels.push_back(l);
+  for (const std::size_t n : {3u, 9u}) {
+    MomentSolverOptions opts;
+    opts.max_moment = n;
+    const auto reference = solver.solve_multi(times, opts);
+    for (const linalg::simd::Level level : levels)
+      for (const std::size_t threads : {1u, 2u, 4u})
+        for (const ReorderPolicy reorder :
+             {ReorderPolicy::kNone, ReorderPolicy::kRcm,
+              ReorderPolicy::kDegree}) {
+          linalg::simd::set_level(level);
+          linalg::set_num_threads(threads);
+          opts.reorder = reorder;
+          const auto got = solver.solve_multi(times, opts);
+          const char* policy = reorder == ReorderPolicy::kNone  ? "none"
+                               : reorder == ReorderPolicy::kRcm ? "rcm"
+                                                                : "degree";
+          EXPECT_TRUE(same_bits(got, reference))
+              << "n " << n << " level " << linalg::simd::level_name(level)
+              << " threads " << threads << " reorder " << policy;
+          EXPECT_EQ(got.front().stats.reorder, policy);
+        }
+  }
+  linalg::simd::set_level(linalg::simd::highest_supported());
+  linalg::set_num_threads(0);
+}
+
+TEST(ImpulseSolverTest, ErrorBoundIsTheImpulseTailAtG) {
+  // The reported error_bound is the generalized Theorem-4 tail
+  // (4 d qt)^n * sum_{k >= G+1-n} Pois(k; qt) at the truncation point G,
+  // positive and within epsilon.
   const auto model = SecondOrderImpulseMrm::uniform_impulse(
-      symmetric_chain(2.0, Vec{1.0, -0.5}, Vec{0.3, 0.1}), 0.7, 0.2);
-  const ImpulseMomentSolver solver(model);
+      symmetric_chain(3.0, Vec{1.0, 1.0}, Vec{0.5, 0.5}), 0.7, 0.2);
   MomentSolverOptions opts;
   opts.max_moment = 3;
-  opts.epsilon = 1e-10;
-  const std::vector<double> times{0.3, 1.1};
-
-  opts.kernel = SweepKernel::kFusedVectors;
-  const auto reference = solver.solve_multi(times, opts);
-
-  opts.kernel = SweepKernel::kPanel;
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    linalg::set_num_threads(threads);
-    const auto panel = solver.solve_multi(times, opts);
-    ASSERT_EQ(panel.size(), reference.size());
-    for (std::size_t ti = 0; ti < reference.size(); ++ti)
-      for (std::size_t j = 0; j <= opts.max_moment; ++j) {
-        EXPECT_EQ(panel[ti].weighted[j], reference[ti].weighted[j])
-            << "threads " << threads << " t " << times[ti] << " moment " << j;
-        for (std::size_t i = 0; i < model.num_states(); ++i)
-          ASSERT_EQ(panel[ti].per_state[j][i], reference[ti].per_state[j][i]);
-      }
-  }
-  linalg::set_num_threads(0);
+  opts.epsilon = 1e-9;
+  const auto res = ImpulseMomentSolver(model).solve(1.0, opts);
+  const double qt = res.q * 1.0;
+  const double n = static_cast<double>(opts.max_moment);
+  const double formula = std::exp(
+      n * (std::log(4.0) + std::log(res.d) + std::log(qt)) +
+      prob::log_poisson_tail(qt, res.truncation_point + 1 - opts.max_moment));
+  EXPECT_GT(res.error_bound, 0.0);
+  EXPECT_LE(res.error_bound, opts.epsilon);
+  EXPECT_EQ(res.error_bound, formula);
 }
 
 TEST(ImpulseSimulatorTest, ReproducibleAndValidated) {
@@ -387,8 +457,8 @@ TEST(ImpulseSimulatorTest, ReproducibleAndValidated) {
 }
 
 TEST(ImpulseSolverTest, StatsSimdNamesTheLevelThatRan) {
-  // The panel sweep's SpMMs dispatch on the active level, the legacy
-  // kernel is scalar, and the q = 0 closed form runs no kernel at all.
+  // The impulse sweep's SpMMs dispatch on the active level, and the q = 0
+  // closed form runs no kernel at all.
   const auto model = SecondOrderImpulseMrm::uniform_impulse(
       symmetric_chain(2.0, Vec{1.0, 0.5}, Vec{0.2, 0.1}), 0.3, 0.05);
   MomentSolverOptions opts;
@@ -396,12 +466,8 @@ TEST(ImpulseSolverTest, StatsSimdNamesTheLevelThatRan) {
   for (const linalg::simd::Level level :
        {linalg::simd::Level::kScalar, linalg::simd::highest_supported()}) {
     linalg::simd::set_level(level);
-    opts.kernel = SweepKernel::kPanel;
     EXPECT_EQ(ImpulseMomentSolver(model).solve(0.5, opts).stats.simd,
               linalg::simd::level_name(level));
-    opts.kernel = SweepKernel::kFusedVectors;
-    EXPECT_EQ(ImpulseMomentSolver(model).solve(0.5, opts).stats.simd,
-              "scalar");
   }
   linalg::simd::set_level(linalg::simd::highest_supported());
   const SecondOrderMrm frozen(ctmc::Generator::from_rates(2, {}),

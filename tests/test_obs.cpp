@@ -197,13 +197,6 @@ TEST(ObsSolverStatsTest, SolveMultiFillsStructuralFields) {
   }
 }
 
-TEST(ObsSolverStatsTest, LegacyKernelIsNamed) {
-  const core::RandomizationMomentSolver solver(ring_model(16));
-  core::MomentSolverOptions opts;
-  opts.kernel = core::SweepKernel::kFusedVectors;
-  EXPECT_EQ(solver.solve(0.5, opts).stats.kernel, "fused_vectors");
-}
-
 TEST(ObsSolverStatsTest, TerminalWeightedFillsStats) {
   const core::RandomizationMomentSolver solver(ring_model(16));
   const auto res = solver.solve_terminal_weighted(0.5, linalg::ones(16));

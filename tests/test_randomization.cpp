@@ -26,6 +26,7 @@
 #include "linalg/simd.hpp"
 #include "models/onoff.hpp"
 #include "prob/normal.hpp"
+#include "prob/poisson.hpp"
 
 namespace somrm::core {
 namespace {
@@ -543,62 +544,6 @@ TEST_P(RandomizationThreadTest, TerminalWeightedBitIdenticalToSingleThread) {
   }
 }
 
-TEST_P(RandomizationThreadTest, PanelKernelBitIdenticalToLegacyKernel) {
-  // The panel SpMM sweep preserves the legacy fused kernel's per-element
-  // accumulation order exactly, so at ANY thread count it must reproduce
-  // the single-threaded legacy result bit-for-bit.
-  const auto model = models::make_onoff_multiplexer(models::table1_params(1.0));
-  const RandomizationMomentSolver solver(model);
-  MomentSolverOptions opts;
-  opts.max_moment = 3;
-  opts.epsilon = 1e-10;
-  const double times[] = {0.1, 1.0, 5.0};
-
-  linalg::set_num_threads(1);
-  opts.kernel = SweepKernel::kFusedVectors;
-  const auto reference = solver.solve_multi(times, opts);
-
-  linalg::set_num_threads(GetParam());
-  opts.kernel = SweepKernel::kPanel;
-  const auto panel = solver.solve_multi(times, opts);
-
-  ASSERT_EQ(panel.size(), reference.size());
-  for (std::size_t ti = 0; ti < reference.size(); ++ti)
-    for (std::size_t j = 0; j <= opts.max_moment; ++j) {
-      EXPECT_EQ(panel[ti].weighted[j], reference[ti].weighted[j])
-          << "t " << times[ti] << " moment " << j;
-      for (std::size_t i = 0; i < model.num_states(); ++i)
-        ASSERT_EQ(panel[ti].per_state[j][i], reference[ti].per_state[j][i])
-            << "t " << times[ti] << " moment " << j << " state " << i;
-    }
-}
-
-TEST_P(RandomizationThreadTest, PanelTerminalWeightedBitIdenticalToLegacy) {
-  const auto model = models::make_onoff_multiplexer(models::table1_params(1.0));
-  const RandomizationMomentSolver solver(model);
-  MomentSolverOptions opts;
-  opts.max_moment = 2;
-  opts.epsilon = 1e-10;
-  Vec weights(model.num_states());
-  for (std::size_t i = 0; i < weights.size(); ++i)
-    weights[i] = 1.0 + 0.25 * static_cast<double>(i % 3);
-
-  linalg::set_num_threads(1);
-  opts.kernel = SweepKernel::kFusedVectors;
-  const auto reference = solver.solve_terminal_weighted(1.0, weights, opts);
-
-  linalg::set_num_threads(GetParam());
-  opts.kernel = SweepKernel::kPanel;
-  const auto panel = solver.solve_terminal_weighted(1.0, weights, opts);
-
-  for (std::size_t j = 0; j <= opts.max_moment; ++j) {
-    EXPECT_EQ(panel.weighted[j], reference.weighted[j]) << "moment " << j;
-    for (std::size_t i = 0; i < model.num_states(); ++i)
-      ASSERT_EQ(panel.per_state[j][i], reference.per_state[j][i])
-          << "moment " << j << " state " << i;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, RandomizationThreadTest,
                          ::testing::Values<std::size_t>(1, 2, 4));
 
@@ -623,7 +568,7 @@ TEST(RandomizationTest, TerminalWeightedFillsErrorBound) {
 // SIMD levels: the sweep's step kernel at every compiled vector level
 // against the scalar kernel, bit for bit, across the sweep's branches —
 // widths on both sides of the fused/wide boundary (n = 0..9), plain and
-// terminal-weighted, shift and centering, q = 0, both storages, RCM, thread
+// terminal-weighted, shift and centering, q = 0, RCM, thread
 // splits and the last rows of tiny models.
 // ---------------------------------------------------------------------------
 
@@ -699,45 +644,39 @@ TEST_P(RandomizationSimdGridTest, VectorLevelsBitIdenticalToScalar) {
         w[i] = 1.0 + 0.25 * static_cast<double>(i % 3);
     }
     for (const double center : {0.0, 0.37})
-      for (const StorageFormat storage :
-           {StorageFormat::kCsr, StorageFormat::kSellCs})
-        for (const ReorderPolicy reorder :
-             {ReorderPolicy::kNone, ReorderPolicy::kRcm})
-          for (const std::size_t threads : c.threads)
-            for (const std::vector<double>* times : c.grids) {
-              MomentSolverOptions opts;
-              opts.max_moment = n;
-              opts.center = center;
-              opts.storage = storage;
-              opts.reorder = reorder;
-              linalg::set_num_threads(threads);
-              const std::string where =
-                  "states " + std::to_string(c.states) + " center " +
-                  std::to_string(center) + " storage " +
-                  std::to_string(static_cast<int>(storage)) + " rcm " +
-                  std::to_string(static_cast<int>(reorder)) + " threads " +
-                  std::to_string(threads) + " times " +
-                  std::to_string(times->size());
-              linalg::simd::set_level(linalg::simd::Level::kScalar);
-              const RetainedSweep ref = solver.sweep_retained(*times, opts, w);
-              EXPECT_EQ(ref.stats.simd, ref.degenerate ? "none" : "scalar")
-                  << where;
-              for (const linalg::simd::Level level : vector_levels()) {
-                linalg::simd::set_level(level);
-                const RetainedSweep got =
-                    solver.sweep_retained(*times, opts, w);
-                EXPECT_TRUE(bit_identical(ref, got))
-                    << where << " level " << linalg::simd::level_name(level);
-                // The fused kernel (width <= 8) runs its AVX2 body at any
-                // vector level; the wide SpMM runs the level itself.
-                const char* ran =
-                    got.degenerate ? "none"
-                    : n + 1 <= 8   ? "avx2"
-                                   : linalg::simd::level_name(level);
-                EXPECT_EQ(got.stats.simd, ran)
-                    << where << " level " << linalg::simd::level_name(level);
-              }
+      for (const ReorderPolicy reorder :
+           {ReorderPolicy::kNone, ReorderPolicy::kRcm})
+        for (const std::size_t threads : c.threads)
+          for (const std::vector<double>* times : c.grids) {
+            MomentSolverOptions opts;
+            opts.max_moment = n;
+            opts.center = center;
+            opts.reorder = reorder;
+            linalg::set_num_threads(threads);
+            const std::string where =
+                "states " + std::to_string(c.states) + " center " +
+                std::to_string(center) + " rcm " +
+                std::to_string(static_cast<int>(reorder)) + " threads " +
+                std::to_string(threads) + " times " +
+                std::to_string(times->size());
+            linalg::simd::set_level(linalg::simd::Level::kScalar);
+            const RetainedSweep ref = solver.sweep_retained(*times, opts, w);
+            EXPECT_EQ(ref.stats.simd, ref.degenerate ? "none" : "scalar")
+                << where;
+            for (const linalg::simd::Level level : vector_levels()) {
+              linalg::simd::set_level(level);
+              const RetainedSweep got = solver.sweep_retained(*times, opts, w);
+              EXPECT_TRUE(bit_identical(ref, got))
+                  << where << " level " << linalg::simd::level_name(level);
+              // The fused kernel (width <= 8) runs its AVX2 body at any
+              // vector level; the wide SpMM runs the level itself.
+              const char* ran = got.degenerate ? "none"
+                                : n + 1 <= 8   ? "avx2"
+                                               : linalg::simd::level_name(level);
+              EXPECT_EQ(got.stats.simd, ran)
+                  << where << " level " << linalg::simd::level_name(level);
             }
+          }
   }
 }
 
@@ -752,24 +691,32 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(RandomizationSimdTest, PlainSweepOnesColumnIsOneValuePerTimePoint) {
   // The plain sweep fills acc column 0 from one scalar chain per time point;
-  // every row must hold the same bits, and they must equal the legacy
-  // kernel's per-state accumulation.
+  // every row must hold the same bits, and they must equal that chain,
+  // 0 + w_0 + w_1 + ... + w_G over the time point's Poisson window.
   const RandomizationMomentSolver solver(lane_model(2500, false));
   std::vector<double> times;
   for (int i = 1; i <= 12; ++i) times.push_back(0.05 * i);
   MomentSolverOptions opts;
   opts.max_moment = 4;
-  opts.kernel = SweepKernel::kFusedVectors;
   linalg::set_num_threads(4);
-  const RetainedSweep legacy = solver.sweep_retained(times, opts);
-  EXPECT_EQ(legacy.stats.simd, "scalar");
-  opts.kernel = SweepKernel::kPanel;
+  linalg::simd::set_level(linalg::simd::Level::kScalar);
+  const RetainedSweep reference = solver.sweep_retained(times, opts);
+  for (std::size_t t = 0; t < times.size(); ++t) {
+    const std::size_t g = reference.truncation_points[t];
+    const prob::PoissonWindow window =
+        prob::poisson_weight_window(reference.q * times[t], g);
+    double chain = 0.0;
+    for (std::size_t k = 0; k <= g; ++k) chain += window.weight(k);
+    EXPECT_EQ(std::memcmp(&chain, reference.acc[t].row_data(0), sizeof chain),
+              0)
+        << "t " << times[t];
+  }
   std::vector<linalg::simd::Level> levels = vector_levels();
   levels.push_back(linalg::simd::Level::kScalar);
   for (const linalg::simd::Level level : levels) {
     linalg::simd::set_level(level);
     const RetainedSweep sweep = solver.sweep_retained(times, opts);
-    EXPECT_TRUE(bit_identical(sweep, legacy))
+    EXPECT_TRUE(bit_identical(sweep, reference))
         << linalg::simd::level_name(level);
     for (std::size_t t = 0; t < times.size(); ++t) {
       const linalg::Panel& acc = sweep.acc[t];

@@ -259,6 +259,16 @@ TEST(ReorderTest, ReorderStatsReportBandwidthReduction) {
   EXPECT_EQ(res.stats.reorder, "rcm");
   EXPECT_GT(res.stats.bandwidth_before, 4u);
   EXPECT_LT(res.stats.bandwidth_after, res.stats.bandwidth_before);
+
+  // The impulse solver runs on the same sweep core, so the reorder applies
+  // to it too (Q' and every impulse matrix permuted alike).
+  const MomentResult imp =
+      core::ImpulseMomentSolver(core::SecondOrderImpulseMrm::uniform_impulse(
+                                    solver.model(), 0.4, 0.1))
+          .solve(1.0, opts);
+  EXPECT_EQ(imp.stats.reorder, "rcm");
+  EXPECT_EQ(imp.stats.bandwidth_before, res.stats.bandwidth_before);
+  EXPECT_EQ(imp.stats.bandwidth_after, res.stats.bandwidth_after);
 }
 
 TEST(ReorderTest, NoReorderStatsReportActualBandwidthNotStaleZeros) {

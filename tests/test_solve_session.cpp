@@ -1,6 +1,6 @@
 // Tests for the batched query engine (core/solve_session.hpp): bit-identity
 // of SolveSession batches against independent solver calls across thread
-// counts and kernels, SweepCache counters / LRU eviction / request
+// counts, SweepCache counters / LRU eviction / request
 // coalescing, cross-session cache sharing keyed by model content, t = 0
 // through the session path, and query/grid validation.
 //
@@ -138,14 +138,13 @@ MixedBatch make_mixed_batch(std::size_t n, std::size_t grid_size,
   return out;
 }
 
-void run_batch_vs_independent(core::SweepKernel kernel) {
+void run_batch_vs_independent() {
   const std::size_t n = 24;
   const auto model = make_model(n);
   const std::vector<double> times{0.25, 0.6, 1.1};
   MomentSolverOptions opts;
   opts.max_moment = 4;
   opts.epsilon = 1e-9;
-  opts.kernel = kernel;
 
   const auto batch = make_mixed_batch(n, times.size(), opts.max_moment);
   const SolveSession session(model, times, opts,
@@ -179,11 +178,7 @@ class SolveSessionThreadsTest : public ::testing::TestWithParam<std::size_t> {
 };
 
 TEST_P(SolveSessionThreadsTest, BatchOf64BitIdenticalToIndependentSolves) {
-  run_batch_vs_independent(core::SweepKernel::kPanel);
-}
-
-TEST_P(SolveSessionThreadsTest, LegacyKernelBitIdentical) {
-  run_batch_vs_independent(core::SweepKernel::kFusedVectors);
+  run_batch_vs_independent();
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SolveSessionThreadsTest,

@@ -20,7 +20,7 @@ time instead of waiting for a flaky numerical diff:
                            the association order is pinned. Every file
                            under a linalg/ path component is exempt: that
                            is where the fixed-order kernels themselves
-                           live (csr.cpp, sellcs.cpp, vec.cpp, ...), and
+                           live (csr.cpp, simd.cpp, vec.cpp, ...), and
                            new linalg storage backends qualify
                            automatically.
   no-shared-capture        `x += ...` inside a parallel_for body where x
