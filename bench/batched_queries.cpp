@@ -86,6 +86,10 @@ int main(int argc, char** argv) {
   const std::size_t n = bench::arg_size(argc, argv, "--moments", 4);
   const bool skip_independent =
       bench::arg_size(argc, argv, "--skip-independent", 0) != 0;
+  if (num_queries == 0) {
+    std::fprintf(stderr, "--queries must be >= 1\n");
+    return 2;
+  }
 
   bench::Stopwatch sw_build;
   const auto model = models::make_onoff_multiplexer(params);

@@ -155,8 +155,8 @@ void BM_SolveVsThreads(benchmark::State& state) {
 // the solver (no truncation search, no Poisson windows — just
 // multiply_panel on a birth-death-shaped matrix). Registered dynamically in
 // main() once per level the build compiled in AND the host supports, so an
-// x86-64 build on an AVX-512 host shows all three and other targets show
-// scalar only. All levels produce bit-identical panels
+// x86-64 build on an AVX2 host shows both and other targets show scalar
+// only. All levels produce bit-identical panels
 // (test_simd_panel); this benchmark shows what that contract costs.
 void BM_PanelRowsSimd(benchmark::State& state, linalg::simd::Level level) {
   const std::size_t states = 40000, width = 5;

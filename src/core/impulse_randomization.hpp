@@ -36,7 +36,7 @@
 // Implementation: the solver builds its scaled model (enlarged d) and the
 // A~_l, then runs the shared sweep core (core/sweep_core.hpp) — the plain
 // recursion's step plus one convolution stage — so truncation, Poisson
-// windows, the reorder option, telemetry and finalize are the plain
+// windows, the RCM reorder, telemetry and finalize are the plain
 // solver's. MomentResult::error_bound reports the bound above at G.
 
 #pragma once

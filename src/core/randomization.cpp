@@ -394,32 +394,36 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
     return sweep;
   }
 
-  // Optional bandwidth-reduction reorder (linalg/reorder.hpp): the sweep
-  // runs on the permuted state space — Q', R', S' and every A~_l permuted
-  // alike — and the retained panels are permuted back just before return.
+  // Bandwidth-reduction reorder (linalg/reorder.hpp): when reverse
+  // Cuthill–McKee strictly narrows Q''s band, the sweep runs on the
+  // permuted state space — Q', R', S' and every A~_l permuted alike — and
+  // the retained panels are permuted back just before return.
   // permute_symmetric preserves every row's stored-entry order, so the
-  // arithmetic chain — and hence every output bit — is identical under any
-  // policy; only memory locality changes.
+  // arithmetic chain — and hence every output bit — is the same either way;
+  // only memory locality changes. No ordering beats bandwidth_lower_bound,
+  // so a Q' already at it (the tridiagonal chains) skips the RCM pass.
   std::vector<std::size_t> perm;  // perm[new] = old; empty = no reorder
   stats.bandwidth_before = linalg::bandwidth(scaled.q_prime);
   stats.bandwidth_after = stats.bandwidth_before;
-  if (options.reorder != ReorderPolicy::kNone) {
-    const std::int64_t reorder_t0 = obs::now_ns();
-    perm = options.reorder == ReorderPolicy::kRcm
-               ? linalg::rcm_permutation(scaled.q_prime)
-               : linalg::degree_permutation(scaled.q_prime);
-    if (linalg::is_identity_permutation(perm)) {
-      perm.clear();  // already optimal; skip the permuted copies
-    } else {
-      scaled.q_prime = linalg::permute_symmetric(scaled.q_prime, perm);
-      scaled.r_prime = linalg::permute_vector(scaled.r_prime, perm);
-      scaled.s_prime = linalg::permute_vector(scaled.s_prime, perm);
+  if (stats.bandwidth_before > linalg::bandwidth_lower_bound(scaled.q_prime)) {
+    static obs::Metric& rcm_metric = obs::metric("sweep.rcm");
+    const std::int64_t rcm_t0 = obs::now_ns();
+    std::vector<std::size_t> rcm = linalg::rcm_permutation(scaled.q_prime);
+    linalg::CsrMatrix q_rcm = linalg::permute_symmetric(scaled.q_prime, rcm);
+    const std::size_t band = linalg::bandwidth(q_rcm);
+    if (band < stats.bandwidth_before) {
+      scaled.q_prime = std::move(q_rcm);
+      scaled.r_prime = linalg::permute_vector(scaled.r_prime, rcm);
+      scaled.s_prime = linalg::permute_vector(scaled.s_prime, rcm);
       for (linalg::CsrMatrix& a : impulse)
-        a = linalg::permute_symmetric(a, perm);
-      stats.bandwidth_after = linalg::bandwidth(scaled.q_prime);
+        a = linalg::permute_symmetric(a, rcm);
+      perm = std::move(rcm);
+      stats.reorder = "rcm";
+      stats.bandwidth_after = band;
     }
-    stats.reorder = options.reorder == ReorderPolicy::kRcm ? "rcm" : "degree";
-    stats.scale_seconds += obs::seconds_between(reorder_t0, obs::now_ns());
+    const std::int64_t rcm_ns = obs::now_ns() - rcm_t0;
+    rcm_metric.add(1, rcm_ns);
+    stats.scale_seconds += static_cast<double>(rcm_ns) * 1e-9;
   }
 
   // Truncation per time point: honour epsilon for every moment order 0..n,
@@ -481,20 +485,17 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   stats.sweep_flops = g_max * flops_per_step;
 
   // The step kernel is chosen once per sweep from the dispatch level: the
-  // fused row kernel runs its AVX2 body at any level >= kAvx2; the wide
-  // path's SpMMs dispatch on the level itself.
+  // fused row kernel runs its AVX2 or scalar lane body; the wide path's
+  // SpMMs dispatch on the same level.
   const std::size_t width = n + 1;
   const linalg::simd::Level level = linalg::simd::active_level();
-  const bool avx2 = level >= linalg::simd::Level::kAvx2;
+  const bool avx2 = level == linalg::simd::Level::kAvx2;
   const bool wide = spec.impulse_recursion || width > kFusedMaxWidth;
   const StepRowsFn rows =
       wide ? nullptr
            : (avx2 ? kStepRows<true> : kStepRows<false>)[j_lo][width - 1];
   stats.kernel = spec.impulse_recursion ? "impulse_panel" : "panel";
-  stats.simd = linalg::simd::level_name(
-      wide   ? level
-      : avx2 ? linalg::simd::Level::kAvx2
-             : linalg::simd::Level::kScalar);
+  stats.simd = linalg::simd::level_name(level);
 
   linalg::Panel u(num_states, width, 0.0);
   linalg::Panel u_next(num_states, width, 0.0);

@@ -40,6 +40,11 @@
 //    skipped and V^(0) is exact by construction.
 //  * The truncation point is the max of the Theorem-4 G over all requested
 //    moment orders 0..n, so every returned moment honours epsilon.
+//  * A model whose state numbering scatters neighbours (an externally
+//    loaded model, say) is swept in reverse Cuthill–McKee order whenever
+//    that strictly narrows Q''s band; the panels are permuted back, so the
+//    reorder is invisible in the output bits (linalg/reorder.hpp,
+//    SolverStats::reorder).
 
 #pragma once
 
@@ -54,17 +59,6 @@
 #include "obs/telemetry.hpp"
 
 namespace somrm::core {
-
-/// CSR bandwidth-reduction reordering applied at sweep setup (see
-/// linalg/reorder.hpp). The sweep runs on the permuted state space and the
-/// retained accumulator panels are permuted back before anything escapes,
-/// so every solver output — order AND bits — is identical under every
-/// policy (asserted by ReorderSolveTest); only memory locality changes.
-enum class ReorderPolicy {
-  kNone,    ///< solve in the model's own state order (default)
-  kRcm,     ///< reverse Cuthill–McKee on the symmetrized Q' pattern
-  kDegree,  ///< ascending-degree ordering (cheaper, weaker)
-};
 
 struct MomentSolverOptions {
   /// Highest moment order n to compute (all orders 0..n are returned).
@@ -81,11 +75,6 @@ struct MomentSolverOptions {
   /// converting raw moments — essential when feeding 20+ moments into the
   /// distribution-bound module (Figures 5-7). 0 = plain raw moments.
   double center = 0.0;
-  /// Bandwidth-reduction reorder for the sweep (bit-exact no matter what —
-  /// see ReorderPolicy). kNone by default: the bundled model builders
-  /// already emit near-banded orderings, so the pass pays off mainly for
-  /// externally loaded models with scattered state numbering.
-  ReorderPolicy reorder = ReorderPolicy::kNone;
 };
 
 /// Result of a moment computation at one time point.

@@ -4,8 +4,8 @@
 // and terminal-weighted solves of RandomizationMomentSolver and the impulse
 // solve of ImpulseMomentSolver. Each solver builds its scaled model (and,
 // for impulses, the scaled impulse-moment matrices A~_l) and hands them to
-// run_sweep, which owns truncation, Poisson windows, the reorder
-// permutation, the steps, the unpermute and the sweep telemetry. The
+// run_sweep, which owns truncation, Poisson windows, the RCM reorder
+// decision, the steps, the unpermute and the sweep telemetry. The
 // solvers differ only in what SweepSpec says:
 //
 //  * the step: the impulse recursion adds one stage, sum_l A~_l U^(n-l) in

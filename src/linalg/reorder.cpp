@@ -117,19 +117,6 @@ std::vector<std::size_t> rcm_permutation(const CsrMatrix& a) {
   return order;
 }
 
-std::vector<std::size_t> degree_permutation(const CsrMatrix& a) {
-  require_square(a, "degree_permutation");
-  const std::size_t n = a.rows();
-  const Adjacency adj = build_symmetric_adjacency(a);
-  std::vector<std::size_t> perm(n);
-  for (std::size_t v = 0; v < n; ++v) perm[v] = v;
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return adj.degree(x) < adj.degree(y);
-                   });
-  return perm;
-}
-
 std::vector<std::size_t> invert_permutation(
     std::span<const std::size_t> perm) {
   const std::size_t n = perm.size();
@@ -141,12 +128,6 @@ std::vector<std::size_t> invert_permutation(
     inverse[perm[i]] = i;
   }
   return inverse;
-}
-
-bool is_identity_permutation(std::span<const std::size_t> perm) {
-  for (std::size_t i = 0; i < perm.size(); ++i)
-    if (perm[i] != i) return false;
-  return true;
 }
 
 CsrMatrix permute_symmetric(const CsrMatrix& a,
@@ -213,6 +194,19 @@ std::size_t bandwidth(const CsrMatrix& a) {
       band = std::max(band, c > r ? c - r : r - c);
     }
   return band;
+}
+
+std::size_t bandwidth_lower_bound(const CsrMatrix& a) {
+  std::size_t widest = 0;
+  const auto& row_ptr = a.row_ptr();
+  const auto& col_idx = a.col_idx();
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    std::size_t off_diagonal = 0;
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
+      off_diagonal += col_idx[k] != r;
+    widest = std::max(widest, off_diagonal);
+  }
+  return (widest + 1) / 2;
 }
 
 }  // namespace somrm::linalg

@@ -1,24 +1,24 @@
 // somrm/linalg/reorder.hpp
 //
-// CSR bandwidth-reduction orderings for the randomization sweep.
+// CSR bandwidth reduction for the randomization sweep.
 //
 // The sweep's CSR×panel kernel reads x[col_idx[k] * width] for every stored
 // entry; when a model builder emits states in an order that scatters
 // neighbouring states far apart, those gathers miss cache. A reverse
-// Cuthill–McKee (or plain ascending-degree) reordering of the states
-// clusters the column indices near the diagonal, shrinking the working set
-// per row without touching the arithmetic.
+// Cuthill–McKee reordering of the states clusters the column indices near
+// the diagonal, shrinking the working set per row without touching the
+// arithmetic (DESIGN §6.2).
 //
 // Bit-exactness is preserved end to end: permute_symmetric keeps each
 // row's stored entries in their ORIGINAL relative order (it does not
 // re-sort columns), so the per-element multiply-then-add chain of every
 // kernel is exactly the chain the unpermuted matrix runs — only the row
 // identities move. A solver that permutes its inputs, sweeps, and
-// un-permutes its outputs therefore returns bit-identical values
-// (RandomizationMomentSolver via MomentSolverOptions::reorder; asserted by
-// test_reorder.cpp).
+// un-permutes its outputs therefore returns bit-identical values (the sweep
+// core applies RCM whenever it strictly narrows Q''s band; asserted by
+// test_reorder.cpp and the golden-bit corpus).
 //
-// All orderings are deterministic: ties break on ascending state index,
+// The ordering is deterministic: ties break on ascending state index,
 // never on pointer values or hash order.
 
 #pragma once
@@ -39,18 +39,9 @@ namespace somrm::linalg {
 /// is a pure function of the sparsity pattern.
 std::vector<std::size_t> rcm_permutation(const CsrMatrix& a);
 
-/// Ascending-degree ordering of the symmetrized pattern of @p a (square
-/// matrices only): perm[new_index] = old_index, stable in the original
-/// index for equal degrees. Cheaper than RCM and good enough for banded
-/// patterns that are merely shuffled.
-std::vector<std::size_t> degree_permutation(const CsrMatrix& a);
-
 /// inverse[perm[i]] = i. Validates that @p perm is a permutation (every
 /// index in [0, n) exactly once); throws std::invalid_argument otherwise.
 std::vector<std::size_t> invert_permutation(std::span<const std::size_t> perm);
-
-/// True when perm[i] == i for all i (reordering would be a no-op).
-bool is_identity_permutation(std::span<const std::size_t> perm);
 
 /// Symmetric permutation B = P A P^T of a square matrix: B(r, c) =
 /// A(perm[r], perm[c]). Each output row keeps its source row's stored
@@ -76,5 +67,12 @@ Panel unpermute_panel_rows(const Panel& p, std::span<const std::size_t> perm);
 /// Bandwidth max |r - c| over the stored entries (0 for an empty matrix).
 /// The quantity RCM minimizes; exposed for tests and bench telemetry.
 std::size_t bandwidth(const CsrMatrix& a);
+
+/// A bound no symmetric permutation of @p a can beat: a row with k
+/// off-diagonal entries needs k distinct columns within distance b of its
+/// own index, so b >= ceil(k / 2) for the row with the most. A matrix whose
+/// bandwidth() already equals this (a tridiagonal chain: 1) cannot be
+/// narrowed, and the sweep skips the RCM pass for it.
+std::size_t bandwidth_lower_bound(const CsrMatrix& a);
 
 }  // namespace somrm::linalg

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <string>
+#include <string_view>
 
 #if SOMRM_SIMD_X86
 #include <immintrin.h>
@@ -161,123 +161,6 @@ void panel_rows_avx2(const std::size_t* row_ptr, const std::size_t* col_idx,
   }
 }
 
-// ---- AVX-512F: 8 doubles per lane group, masked loads for every tail. --
-//
-// Widths <= 8 run in a single masked zmm accumulator; the mask both
-// fault-suppresses the loads past the column window and keeps the stores
-// inside it, so the per-lane arithmetic chain is exactly the scalar one.
-
-template <std::size_t CW>
-__attribute__((target("avx512f"))) void rows_avx512_fixed(
-    const std::size_t* row_ptr, const std::size_t* col_idx,
-    const double* values, const double* xbase, std::size_t xw, double* ybase,
-    std::size_t yw, std::size_t row_begin, std::size_t row_end,
-    bool accumulate) {
-  constexpr __mmask8 kMask = static_cast<__mmask8>((1u << CW) - 1u);
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const __m512d vv = _mm512_set1_pd(values[k]);
-      const double* xr = xbase + col_idx[k] * xw;
-      acc = _mm512_add_pd(acc,
-                          _mm512_mul_pd(vv, _mm512_maskz_loadu_pd(kMask, xr)));
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate)
-      _mm512_mask_storeu_pd(
-          yr, kMask, _mm512_add_pd(_mm512_maskz_loadu_pd(kMask, yr), acc));
-    else
-      _mm512_mask_storeu_pd(yr, kMask, acc);
-  }
-}
-
-__attribute__((target("avx512f"))) void rows_avx512_generic(
-    const std::size_t* row_ptr, const std::size_t* col_idx,
-    const double* values, const double* xbase, std::size_t xw, double* ybase,
-    std::size_t yw, std::size_t row_begin, std::size_t row_end, std::size_t cw,
-    bool accumulate) {
-  const std::size_t full = cw / 8;
-  const std::size_t tail = cw % 8;
-  const __mmask8 tail_mask = static_cast<__mmask8>((1u << tail) - 1u);
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    __m512d acc[kMaxChunk / 8];
-    for (std::size_t v = 0; v < full; ++v) acc[v] = _mm512_setzero_pd();
-    __m512d acc_tail = _mm512_setzero_pd();
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const __m512d vv = _mm512_set1_pd(values[k]);
-      const double* xr = xbase + col_idx[k] * xw;
-      for (std::size_t v = 0; v < full; ++v)
-        acc[v] = _mm512_add_pd(
-            acc[v], _mm512_mul_pd(vv, _mm512_loadu_pd(xr + 8 * v)));
-      if (tail > 0)
-        acc_tail = _mm512_add_pd(
-            acc_tail, _mm512_mul_pd(vv, _mm512_maskz_loadu_pd(
-                                            tail_mask, xr + 8 * full)));
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate) {
-      for (std::size_t v = 0; v < full; ++v)
-        _mm512_storeu_pd(
-            yr + 8 * v, _mm512_add_pd(_mm512_loadu_pd(yr + 8 * v), acc[v]));
-      if (tail > 0)
-        _mm512_mask_storeu_pd(
-            yr + 8 * full, tail_mask,
-            _mm512_add_pd(_mm512_maskz_loadu_pd(tail_mask, yr + 8 * full),
-                          acc_tail));
-    } else {
-      for (std::size_t v = 0; v < full; ++v)
-        _mm512_storeu_pd(yr + 8 * v, acc[v]);
-      if (tail > 0)
-        _mm512_mask_storeu_pd(yr + 8 * full, tail_mask, acc_tail);
-    }
-  }
-}
-
-void panel_rows_avx512(const std::size_t* row_ptr, const std::size_t* col_idx,
-                       const double* values, const double* xbase,
-                       std::size_t xw, double* ybase, std::size_t yw,
-                       std::size_t row_begin, std::size_t row_end,
-                       std::size_t cw, bool accumulate) {
-  switch (cw) {
-    case 1:
-      rows_avx512_fixed<1>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    case 2:
-      rows_avx512_fixed<2>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    case 3:
-      rows_avx512_fixed<3>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    case 4:
-      rows_avx512_fixed<4>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    case 5:
-      rows_avx512_fixed<5>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    case 6:
-      rows_avx512_fixed<6>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    case 7:
-      rows_avx512_fixed<7>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    case 8:
-      rows_avx512_fixed<8>(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                           row_begin, row_end, accumulate);
-      break;
-    default:
-      rows_avx512_generic(row_ptr, col_idx, values, xbase, xw, ybase, yw,
-                          row_begin, row_end, cw, accumulate);
-      break;
-  }
-}
-
 #endif  // SOMRM_SIMD_X86
 
 Level clamp_to_supported(Level level) {
@@ -285,16 +168,13 @@ Level clamp_to_supported(Level level) {
   return static_cast<int>(level) > static_cast<int>(top) ? top : level;
 }
 
-/// SOMRM_SIMD is read once, like SOMRM_NUM_THREADS: an unrecognized value
-/// degrades to "auto" rather than aborting a long bench run.
+/// SOMRM_SIMD is read once, like SOMRM_NUM_THREADS: only "scalar" lowers
+/// the level; "avx2", "auto" and any unrecognized value select
+/// highest_supported() rather than aborting a long bench run.
 Level env_default_level() {
   const char* env = std::getenv("SOMRM_SIMD");
-  if (env != nullptr) {
-    const std::string v(env);
-    if (v == "scalar") return Level::kScalar;
-    if (v == "avx2") return clamp_to_supported(Level::kAvx2);
-    if (v == "avx512") return clamp_to_supported(Level::kAvx512);
-  }
+  if (env != nullptr && std::string_view(env) == "scalar")
+    return Level::kScalar;
   return highest_supported();
 }
 
@@ -307,11 +187,8 @@ std::atomic<Level>& level_state() {
 
 Level highest_supported() {
 #if SOMRM_SIMD_X86
-  static const Level top = [] {
-    if (__builtin_cpu_supports("avx512f")) return Level::kAvx512;
-    if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-    return Level::kScalar;
-  }();
+  static const Level top =
+      __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kScalar;
   return top;
 #else
   return Level::kScalar;
@@ -325,28 +202,12 @@ void set_level(Level level) {
 }
 
 const char* level_name(Level level) {
-  switch (level) {
-    case Level::kAvx512:
-      return "avx512";
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kScalar:
-    default:
-      return "scalar";
-  }
+  return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 PanelRowsFn panel_rows_kernel() {
 #if SOMRM_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx512:
-      return &panel_rows_avx512;
-    case Level::kAvx2:
-      return &panel_rows_avx2;
-    case Level::kScalar:
-    default:
-      return nullptr;
-  }
+  return active_level() == Level::kAvx2 ? &panel_rows_avx2 : nullptr;
 #else
   return nullptr;
 #endif

@@ -11,20 +11,21 @@
 // the SIMD bit-exactness contract: the dispatch level changes speed, never
 // a single output bit, at any width and any thread count.
 //
-// The vector kernels are compiled into every x86-64 GCC/Clang build
-// (per-function target attributes, so the binary stays portable); on other
-// targets highest_supported() is kScalar and panel_rows_kernel() returns
-// nullptr, so CsrMatrix falls through to the scalar reference. Which
-// compiled-in level actually runs is decided at runtime from CPUID,
-// overridable per-process with SOMRM_SIMD (scalar|avx2|avx512|auto, read
+// There is one vector level, AVX2. Its kernels are compiled into every
+// x86-64 GCC/Clang build (per-function target attributes, so the binary
+// stays portable); on other targets highest_supported() is kScalar and
+// panel_rows_kernel() returns nullptr, so CsrMatrix falls through to the
+// scalar reference. Whether AVX2 actually runs is decided at runtime from
+// CPUID, overridable per-process with SOMRM_SIMD (scalar|avx2|auto, read
 // once) or programmatically via set_level. The same level picks the
-// randomization sweep's fused row kernel (core/randomization.cpp).
+// randomization sweep's fused row kernel (core/randomization.cpp). Why
+// there is no AVX-512 level: DESIGN §6.1.
 
 #pragma once
 
 #include <cstddef>
 
-/// 1 where the AVX2/AVX-512 kernels are compiled in: x86-64 under GCC or
+/// 1 where the AVX2 kernels are compiled in: x86-64 under GCC or
 /// Clang, whose target attributes let one portable build carry them.
 #if (defined(__x86_64__) || defined(__amd64__)) && defined(__GNUC__)
 #define SOMRM_SIMD_X86 1
@@ -36,7 +37,7 @@ namespace somrm::linalg::simd {
 
 /// Instruction-set level of the panel row kernels, in increasing order so
 /// levels compare with <.
-enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class Level { kScalar = 0, kAvx2 = 1 };
 
 /// Highest level that is both compiled in (SOMRM_SIMD_X86) and reported by
 /// the running CPU. kScalar on other targets.
@@ -52,8 +53,7 @@ Level active_level();
 /// hand-over point unobservable in the output.
 void set_level(Level level);
 
-/// Stable lowercase name ("scalar", "avx2", "avx512") for logs and bench
-/// records.
+/// Stable lowercase name ("scalar", "avx2") for logs and bench records.
 const char* level_name(Level level);
 
 /// SpMM row kernel: for rows i in [row_begin, row_end) and columns

@@ -58,18 +58,17 @@ struct SolverStats {
   /// Sweep kernel that ran: "panel", "impulse_panel", or "degenerate"
   /// (q == 0 closed form).
   std::string kernel;
-  /// SIMD level the sweep's step kernel actually ran at: "scalar",
-  /// "avx2" or "avx512" (linalg::simd; the fused row kernel for widths
-  /// <= 8 runs "avx2" whenever the active level is at least AVX2), or
-  /// "none" for the degenerate q == 0 closed form. Bit-exact either way —
-  /// this records speed, not values.
+  /// SIMD level the sweep's step kernel actually ran at: "scalar" or
+  /// "avx2" (linalg::simd), or "none" for the degenerate q == 0 closed
+  /// form. Bit-exact either way — this records speed, not values.
   std::string simd;
-  /// Bandwidth-reduction reorder applied at sweep setup: "none", "rcm",
-  /// or "degree" (MomentSolverOptions::reorder). Outputs are permuted back,
-  /// so this too records locality, not values.
+  /// Bandwidth-reduction reorder the sweep applied at setup: "rcm" when
+  /// the reverse Cuthill-McKee ordering strictly narrowed Q''s band, else
+  /// "none". Outputs are permuted back, so this records locality, not
+  /// values.
   std::string reorder;
-  /// CSR bandwidth of Q' before/after the reorder (equal when reorder is
-  /// "none" or the computed permutation was the identity).
+  /// CSR bandwidth of Q' in the model's order and in the order the sweep
+  /// ran (equal when reorder is "none").
   std::size_t bandwidth_before = 0;
   std::size_t bandwidth_after = 0;
   /// Panel width n+1 streamed per CSR pass (0 for the degenerate path).

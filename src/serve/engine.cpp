@@ -172,39 +172,47 @@ bool ServeEngine::drain_one() {
 void ServeEngine::run_group(std::list<Pending> group) {
   if (group.empty()) return;
   const std::size_t batch_size = group.size();
-  std::vector<core::PreparedQuery> queries;
-  queries.reserve(batch_size);
-  for (Pending& p : group) queries.push_back(std::move(p.prepared));
-
-  const std::int64_t exec_t0 = steady_now_ns();
-  std::vector<core::MomentResult> results;
-  std::vector<core::QueryRecord> records;
-  std::exception_ptr error;
-  try {
-    results = session_->query_batch(queries, &records);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  const std::int64_t done = steady_now_ns();
-
-  // Account the batch BEFORE delivering: the moment set_value runs a client's
-  // .get() returns, and stats() must already show that query as
-  // completed/failed. Only the callback-throw tally — unknowable until the
-  // callbacks actually run — is folded in afterwards.
   batch_metric().add(1, static_cast<std::int64_t>(batch_size));
   {
     support::MutexLock lock(mutex_);
     ++counters_.batches;
     counters_.largest_batch = std::max(counters_.largest_batch, batch_size);
-    if (error)
-      counters_.failed += batch_size;
-    else
-      counters_.completed += batch_size;
   }
 
+  // Answer and deliver one query at a time, releasing each (its result,
+  // initial vector and callback) before the next is finalized: a worker
+  // holds one result whatever the group size, so memory does not follow
+  // how many same-key queries happened to queue up. The group shares one
+  // sweep key, so once a query fails (the sweep threw) the rest get the
+  // same error rather than a retried sweep each.
+  const std::int64_t exec_t0 = steady_now_ns();
+  std::exception_ptr error;
   std::uint64_t callback_throws = 0;
-  std::size_t i = 0;
-  for (Pending& p : group) {
+  while (!group.empty()) {
+    Pending p = std::move(group.front());
+    group.pop_front();
+    ServeResult sr;
+    if (!error) {
+      try {
+        sr.result = session_->query(p.prepared, &sr.record);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    const std::int64_t done = steady_now_ns();
+
+    // Account the query BEFORE delivering it: the moment set_value runs a
+    // client's .get() returns, and stats() must already show that query as
+    // completed/failed. Only the callback-throw tally — unknowable until
+    // the callback actually runs — is folded in afterwards.
+    {
+      support::MutexLock lock(mutex_);
+      if (error)
+        ++counters_.failed;
+      else
+        ++counters_.completed;
+    }
+
     if (error) {
       if (p.use_callback) {
         try {
@@ -216,9 +224,6 @@ void ServeEngine::run_group(std::list<Pending> group) {
         p.promise.set_exception(error);
       }
     } else {
-      ServeResult sr;
-      sr.result = std::move(results[i]);
-      sr.record = std::move(records[i]);
       sr.queue_ns = exec_t0 - p.enqueue_ns;
       sr.total_ns = done - p.enqueue_ns;
       sr.batch_size = batch_size;
@@ -233,7 +238,6 @@ void ServeEngine::run_group(std::list<Pending> group) {
         p.promise.set_value(std::move(sr));
       }
     }
-    ++i;
   }
 
   if (callback_throws > 0) {

@@ -18,17 +18,20 @@
 //  * Key-grouped batching — queued queries are grouped by their sweep-cache
 //    key (SolveSession::sweep_key — the content-hash base_key plus the
 //    weights hash), i.e. BEFORE any sweep runs. A group leader lingers up
-//    to a short batching window for same-key stragglers, then executes the
-//    whole group as one SolveSession::query_batch over the prepared
-//    queries, which neither revalidates nor rehashes them. Same-key
-//    groups that land on different workers still coalesce at the
-//    SweepCache, so splitting is a throughput wrinkle, never a correctness
-//    one — results stay bit-identical to a synchronous query_batch.
-//  * Streaming results — each submit() returns a std::future (or feeds a
-//    callback) carrying the MomentResult, the session's QueryRecord
-//    attribution for this query, and the engine-side queue/total timings.
-//    Timings are measured with steady_clock directly, so they are real
-//    even in SOMRM_OBSERVABILITY=OFF builds.
+//    to a short batching window for same-key stragglers, then answers the
+//    group's prepared queries in order with SolveSession::query, which
+//    neither revalidates nor rehashes them. Same-key groups that land on
+//    different workers still coalesce at the SweepCache, so splitting is a
+//    throughput wrinkle, never a correctness one — results stay
+//    bit-identical to a synchronous query_batch.
+//  * Streaming results — each query is delivered as soon as it is
+//    answered, and released before the next is finalized, so a worker
+//    holds one MomentResult at a time whatever the group size. Each
+//    submit() returns a std::future (or feeds a callback) carrying the
+//    MomentResult, the session's QueryRecord attribution for this query,
+//    and the engine-side queue/total timings. Timings are measured with
+//    steady_clock directly, so they are real even in
+//    SOMRM_OBSERVABILITY=OFF builds.
 //  * Warm restarts — with a snapshot_path, construction reloads the sweep
 //    cache from disk (serve/snapshot.hpp) and save_snapshot() persists it,
 //    so a restarted server's first queries are cache hits.
@@ -87,7 +90,7 @@ struct ServeEngineOptions {
   /// executing, in nanoseconds. 0 = execute immediately with whatever is
   /// already queued. Stopping flushes early.
   std::int64_t batch_window_ns = 200'000;
-  /// Largest group executed as one query_batch.
+  /// Largest group gathered under one sweep key.
   std::size_t max_batch = 256;
   /// Sweep-cache snapshot file: loaded on construction (missing file =
   /// cold start), written by save_snapshot(). Empty = no persistence.
@@ -101,7 +104,7 @@ struct ServeResult {
   /// SessionReport ring entry) — cache outcome, sweep key, finalize time.
   core::QueryRecord record;
   std::int64_t queue_ns = 0;   ///< submit -> group execution start
-  std::int64_t total_ns = 0;   ///< submit -> completion (serving latency)
+  std::int64_t total_ns = 0;   ///< submit -> this query answered (latency)
   std::size_t batch_size = 0;  ///< size of the group this query rode in
 };
 
@@ -143,7 +146,8 @@ class ServeEngine {
   /// std::invalid_argument like SolveSession::query) and enqueues it.
   /// Throws RejectedError when the queue is full or the engine is
   /// stopping — never blocks. The future carries the result or the
-  /// query_batch exception.
+  /// exception answering it threw (once a query of a group fails, the
+  /// group's later queries carry the same exception).
   std::future<ServeResult> submit(core::SessionQuery query)
       SOMRM_EXCLUDES(mutex_);
 
@@ -178,7 +182,7 @@ class ServeEngine {
   /// One accepted query waiting for (or riding in) a group.
   struct Pending {
     /// Validated and keyed at admission; its sweep_key() is the grouping
-    /// identity. Moved into the batch when the group executes.
+    /// identity. Released once its query has been answered and delivered.
     core::PreparedQuery prepared;
     std::int64_t enqueue_ns = 0;
     bool use_callback = false;
@@ -193,7 +197,8 @@ class ServeEngine {
   void gather_same_key_locked(const std::string& key,
                               std::list<Pending>& group)
       SOMRM_REQUIRES(mutex_);
-  /// Executes one group via query_batch and delivers every completion.
+  /// Answers one group query by query, delivering each completion before
+  /// the next query is finalized.
   void run_group(std::list<Pending> group) SOMRM_EXCLUDES(mutex_);
 
   std::shared_ptr<const core::SolveSession> session_;

@@ -565,38 +565,38 @@ TEST(RandomizationTest, TerminalWeightedFillsErrorBound) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD levels: the sweep's step kernel at every compiled vector level
-// against the scalar kernel, bit for bit, across the sweep's branches —
-// widths on both sides of the fused/wide boundary (n = 0..9), plain and
-// terminal-weighted, shift and centering, q = 0, RCM, thread
-// splits and the last rows of tiny models.
+// SIMD levels: the sweep's step kernel at the AVX2 level against the scalar
+// kernel, bit for bit, across the sweep's branches — widths on both sides
+// of the fused/wide boundary (n = 0..9), plain and terminal-weighted, shift
+// and centering, q = 0, banded and relabelled state orders (the sweep
+// reorders the latter by RCM), thread splits and the last rows of tiny
+// models.
 // ---------------------------------------------------------------------------
 
-std::vector<linalg::simd::Level> vector_levels() {
-  std::vector<linalg::simd::Level> levels;
-  for (const linalg::simd::Level l :
-       {linalg::simd::Level::kAvx2, linalg::simd::Level::kAvx512})
-    if (l <= linalg::simd::highest_supported()) levels.push_back(l);
-  return levels;
+bool avx2_supported() {
+  return linalg::simd::highest_supported() == linalg::simd::Level::kAvx2;
 }
 
-/// Ring with bounded rates (q stays ~7 at any size): forward and backward
-/// transitions, drifts of +-[0.5, 2] (negative on every third state when
-/// @p negative, which forces the drift shift), uniform initial law. One
-/// state has no transition, so n = 1 is the q = 0 closed form.
-SecondOrderMrm lane_model(std::size_t n, bool negative) {
+/// Birth-death chain with bounded rates (q stays ~7 at any size): forward
+/// and backward transitions, drifts of +-[0.5, 2] (negative on every third
+/// state when @p negative, which forces the drift shift), uniform initial
+/// law. A single state has no transition, so n = 1 is the q = 0 closed
+/// form. @p shuffled relabels state i as (7 i + 1) mod n (n coprime to 7),
+/// scattering the tridiagonal band that the banded numbering keeps.
+SecondOrderMrm lane_model(std::size_t n, bool negative, bool shuffled = false) {
+  const auto label = [&](std::size_t i) { return shuffled ? (7 * i + 1) % n : i; };
   std::vector<Triplet> rates;
-  for (std::size_t i = 0; n > 1 && i < n; ++i) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
     const double fwd = 2.0 * (1.0 + 0.3 * static_cast<double>(i % 7));
     const double back = 0.7 + 0.1 * static_cast<double>(i % 5);
-    rates.push_back({i, (i + 1) % n, fwd});
-    if (n > 2) rates.push_back({i, (i + n - 1) % n, back});
+    rates.push_back({label(i), label(i + 1), fwd});
+    rates.push_back({label(i + 1), label(i), back});
   }
   Vec drifts(n), vars(n);
   for (std::size_t i = 0; i < n; ++i) {
-    drifts[i] = (negative && i % 3 == 0 ? -1.0 : 1.0) *
-                (0.5 + 0.25 * static_cast<double>(i % 7));
-    vars[i] = 0.1 + 0.05 * static_cast<double>(i % 4);
+    drifts[label(i)] = (negative && i % 3 == 0 ? -1.0 : 1.0) *
+                       (0.5 + 0.25 * static_cast<double>(i % 7));
+    vars[label(i)] = 0.1 + 0.05 * static_cast<double>(i % 4);
   }
   return SecondOrderMrm(ctmc::Generator::from_rates(n, rates),
                         std::move(drifts), std::move(vars),
@@ -635,49 +635,44 @@ TEST_P(RandomizationSimdGridTest, VectorLevelsBitIdenticalToScalar) {
                                 {31, false, {1}, {&few, &many}},
                                 {31, true, {1}, {&few, &many}},
                                 {2500, true, {1, 2, 4}, {&many}}};
-  for (const Case& c : cases) {
-    const RandomizationMomentSolver solver(lane_model(c.states, c.negative));
-    Vec w;
-    if (weighted) {
-      w.resize(c.states);
-      for (std::size_t i = 0; i < c.states; ++i)
-        w[i] = 1.0 + 0.25 * static_cast<double>(i % 3);
-    }
-    for (const double center : {0.0, 0.37})
-      for (const ReorderPolicy reorder :
-           {ReorderPolicy::kNone, ReorderPolicy::kRcm})
+  for (const Case& c : cases)
+    for (const bool shuffled : {false, true}) {
+      const RandomizationMomentSolver solver(
+          lane_model(c.states, c.negative, shuffled));
+      // Two states relabelled are still tridiagonal: nothing to narrow.
+      const char* reorder = shuffled && c.states > 2 ? "rcm" : "none";
+      Vec w;
+      if (weighted) {
+        w.resize(c.states);
+        for (std::size_t i = 0; i < c.states; ++i)
+          w[i] = 1.0 + 0.25 * static_cast<double>(i % 3);
+      }
+      for (const double center : {0.0, 0.37})
         for (const std::size_t threads : c.threads)
           for (const std::vector<double>* times : c.grids) {
             MomentSolverOptions opts;
             opts.max_moment = n;
             opts.center = center;
-            opts.reorder = reorder;
             linalg::set_num_threads(threads);
             const std::string where =
                 "states " + std::to_string(c.states) + " center " +
-                std::to_string(center) + " rcm " +
-                std::to_string(static_cast<int>(reorder)) + " threads " +
+                std::to_string(center) + " shuffled " +
+                std::to_string(shuffled) + " threads " +
                 std::to_string(threads) + " times " +
                 std::to_string(times->size());
             linalg::simd::set_level(linalg::simd::Level::kScalar);
             const RetainedSweep ref = solver.sweep_retained(*times, opts, w);
             EXPECT_EQ(ref.stats.simd, ref.degenerate ? "none" : "scalar")
                 << where;
-            for (const linalg::simd::Level level : vector_levels()) {
-              linalg::simd::set_level(level);
-              const RetainedSweep got = solver.sweep_retained(*times, opts, w);
-              EXPECT_TRUE(bit_identical(ref, got))
-                  << where << " level " << linalg::simd::level_name(level);
-              // The fused kernel (width <= 8) runs its AVX2 body at any
-              // vector level; the wide SpMM runs the level itself.
-              const char* ran = got.degenerate ? "none"
-                                : n + 1 <= 8   ? "avx2"
-                                               : linalg::simd::level_name(level);
-              EXPECT_EQ(got.stats.simd, ran)
-                  << where << " level " << linalg::simd::level_name(level);
-            }
+            EXPECT_EQ(ref.stats.reorder, reorder) << where;
+            if (!avx2_supported()) continue;
+            linalg::simd::set_level(linalg::simd::Level::kAvx2);
+            const RetainedSweep got = solver.sweep_retained(*times, opts, w);
+            EXPECT_TRUE(bit_identical(ref, got)) << where;
+            EXPECT_EQ(got.stats.simd, got.degenerate ? "none" : "avx2")
+                << where;
           }
-  }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -711,9 +706,9 @@ TEST_F(RandomizationSimdTest, PlainSweepOnesColumnIsOneValuePerTimePoint) {
               0)
         << "t " << times[t];
   }
-  std::vector<linalg::simd::Level> levels = vector_levels();
-  levels.push_back(linalg::simd::Level::kScalar);
-  for (const linalg::simd::Level level : levels) {
+  // set_level clamps, so kAvx2 runs the scalar kernel on non-AVX2 hosts.
+  for (const linalg::simd::Level level :
+       {linalg::simd::Level::kAvx2, linalg::simd::Level::kScalar}) {
     linalg::simd::set_level(level);
     const RetainedSweep sweep = solver.sweep_retained(times, opts);
     EXPECT_TRUE(bit_identical(sweep, reference))

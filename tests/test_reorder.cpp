@@ -1,6 +1,7 @@
-// Tests for linalg/reorder.hpp: permutation validity, bandwidth reduction,
-// within-row order preservation, and the solver-level guarantee that a
-// reordered solve returns bit-identical moments.
+// Tests for linalg/reorder.hpp and the sweep's reorder decision:
+// permutation validity, bandwidth reduction and its lower bound, within-row
+// order preservation, the solver-level guarantee that a reordered solve
+// returns bit-identical moments, and when the sweep applies (or skips) RCM.
 
 #include "linalg/reorder.hpp"
 
@@ -8,16 +9,20 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "core/impulse_randomization.hpp"
 #include "core/randomization.hpp"
+#include "core/scaling.hpp"
 #include "ctmc/generator.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/panel.hpp"
 #include "linalg/vec.hpp"
+#include "models/onoff.hpp"
+#include "obs/telemetry.hpp"
 
 namespace somrm::linalg {
 namespace {
@@ -25,7 +30,6 @@ namespace {
 using core::MomentResult;
 using core::MomentSolverOptions;
 using core::RandomizationMomentSolver;
-using core::ReorderPolicy;
 using core::SecondOrderMrm;
 
 // Deterministic shuffle of [0, n): i -> (i * stride + offset) % n with
@@ -63,9 +67,6 @@ TEST(ReorderTest, PermutationHelpersValidateAndRoundTrip) {
   const std::vector<std::size_t> perm = {2, 0, 3, 1};
   const auto inv = invert_permutation(perm);
   for (std::size_t i = 0; i < perm.size(); ++i) EXPECT_EQ(inv[perm[i]], i);
-  EXPECT_FALSE(is_identity_permutation(perm));
-  const std::vector<std::size_t> id = {0, 1, 2};
-  EXPECT_TRUE(is_identity_permutation(id));
 
   const std::vector<std::size_t> dup = {0, 1, 1};
   EXPECT_THROW(invert_permutation(dup), std::invalid_argument);
@@ -87,12 +88,22 @@ TEST(ReorderTest, OrderingsArePermutationsAndReduceBandwidth) {
   // RCM on a path graph should recover an (almost) tridiagonal band.
   EXPECT_LE(bandwidth(a_rcm), 2u);
 
-  const auto deg = degree_permutation(a);
-  expect_is_permutation(deg, n);
+  // No relabelling of a path beats bandwidth 1: two off-diagonals a row.
+  EXPECT_EQ(bandwidth_lower_bound(a), 1u);
+  EXPECT_EQ(bandwidth_lower_bound(a_rcm), 1u);
 
   // Determinism: same input, same permutation.
   EXPECT_EQ(rcm, rcm_permutation(a));
-  EXPECT_EQ(deg, degree_permutation(a));
+}
+
+TEST(ReorderTest, BandwidthLowerBoundCountsTheBusiestRow) {
+  // Star: row 0 reaches 5 other states, so some state is >= 3 away from it
+  // under any labelling; the diagonal never counts.
+  std::vector<Triplet> star;
+  for (std::size_t c = 0; c < 6; ++c) star.push_back({0, c, 1.0});
+  EXPECT_EQ(bandwidth_lower_bound(CsrMatrix::from_triplets(6, 6, star)), 3u);
+  EXPECT_EQ(bandwidth_lower_bound(CsrMatrix::identity(4)), 0u);
+  EXPECT_EQ(bandwidth(CsrMatrix::identity(4)), 0u);
 }
 
 TEST(ReorderTest, PermuteSymmetricRemapsValuesAndPreservesRowOrder) {
@@ -216,49 +227,96 @@ SecondOrderMrm shuffled_chain_model(std::size_t n) {
                         std::move(initial));
 }
 
-TEST(ReorderTest, SolverRoundTripIsBitIdentical) {
-  const std::size_t n = 40;
-  const RandomizationMomentSolver solver(shuffled_chain_model(n));
-  const std::vector<double> times = {0.3, 1.1, 2.7};
-
-  MomentSolverOptions base;
-  base.max_moment = 3;
-  base.epsilon = 1e-10;
-
-  const auto ref = solver.solve_multi(times, base);
-
-  for (const ReorderPolicy policy : {ReorderPolicy::kRcm, ReorderPolicy::kDegree}) {
-    MomentSolverOptions opts = base;
-    opts.reorder = policy;
-    const auto got = solver.solve_multi(times, opts);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t ti = 0; ti < ref.size(); ++ti) {
-      for (std::size_t j = 0; j <= base.max_moment; ++j) {
-        EXPECT_EQ(got[ti].weighted[j], ref[ti].weighted[j])
-            << "t=" << times[ti] << " moment " << j;
-        ASSERT_EQ(got[ti].per_state[j].size(), n);
-        for (std::size_t i = 0; i < n; ++i)
-          EXPECT_EQ(got[ti].per_state[j][i], ref[ti].per_state[j][i])
-              << "t=" << times[ti] << " moment " << j << " state " << i;
-      }
-      EXPECT_EQ(got[ti].stats.reorder,
-                policy == ReorderPolicy::kRcm ? "rcm" : "degree");
-      EXPECT_LE(got[ti].stats.bandwidth_after, got[ti].stats.bandwidth_before);
-    }
+/// Pure-birth chain (state i moves to i+1 only; the last is absorbing),
+/// banded or relabelled by @p label. Every row of Q' (and of each impulse
+/// matrix) holds at most two stored entries, and a two-term sum rounds the
+/// same in either order, so the relabelled chain's per-state moments are
+/// bit-identical to the banded chain's under the relabelling: a reference
+/// the sweep computes WITHOUT reordering for a model it DOES reorder.
+SecondOrderMrm pure_birth_chain(const std::vector<std::size_t>& label) {
+  const std::size_t n = label.size();
+  std::vector<Triplet> rates;
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    rates.push_back({label[i], label[i + 1], 1.0 + 0.25 * static_cast<double>(i)});
+  Vec drifts(n), vars(n), initial(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    drifts[label[i]] = static_cast<double>(n - i) * 0.5;
+    vars[label[i]] = 0.3 * static_cast<double>(i + 1);
   }
-  EXPECT_EQ(ref[0].stats.reorder, "none");
+  initial[label[0]] = 1.0;
+  return SecondOrderMrm(ctmc::Generator::from_rates(n, rates), std::move(drifts),
+                        std::move(vars), std::move(initial));
 }
 
+void expect_relabelled_bits(const MomentResult& banded,
+                            const MomentResult& shuffled,
+                            const std::vector<std::size_t>& label,
+                            const char* what) {
+  ASSERT_EQ(banded.per_state.size(), shuffled.per_state.size()) << what;
+  EXPECT_EQ(banded.truncation_point, shuffled.truncation_point) << what;
+  for (std::size_t j = 0; j < banded.per_state.size(); ++j)
+    for (std::size_t i = 0; i < label.size(); ++i)
+      EXPECT_EQ(shuffled.per_state[j][label[i]], banded.per_state[j][i])
+          << what << " moment " << j << " state " << i;
+  EXPECT_EQ(banded.stats.reorder, "none") << what;
+  EXPECT_EQ(shuffled.stats.reorder, "rcm") << what;
+}
+
+TEST(ReorderTest, SolverRoundTripIsBitIdentical) {
+  // The sweep reorders the relabelled chain by RCM and permutes its panels
+  // back; the banded chain is swept in its own order. Plain (one and three
+  // time points), terminal-weighted and impulse solves must agree bit for
+  // bit, state by state.
+  const std::size_t n = 40;
+  std::vector<std::size_t> identity(n);
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  const auto label = stride_shuffle(n, 17, 5);
+  const RandomizationMomentSolver banded(pure_birth_chain(identity));
+  const RandomizationMomentSolver shuffled(pure_birth_chain(label));
+
+  MomentSolverOptions opts;
+  opts.max_moment = 3;
+  opts.epsilon = 1e-10;
+  const std::vector<double> times = {0.3, 1.1, 2.7};
+  const auto ref = banded.solve_multi(times, opts);
+  const auto got = shuffled.solve_multi(times, opts);
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t ti = 0; ti < ref.size(); ++ti)
+    expect_relabelled_bits(ref[ti], got[ti], label, "plain");
+
+  Vec w_banded(n), w_shuffled(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w_banded[i] = 0.25 + static_cast<double>(i % 4);
+    w_shuffled[label[i]] = w_banded[i];
+  }
+  expect_relabelled_bits(banded.solve_terminal_weighted(0.9, w_banded, opts),
+                         shuffled.solve_terminal_weighted(0.9, w_shuffled, opts),
+                         label, "weighted");
+
+  const auto impulse = [&](const RandomizationMomentSolver& s) {
+    return core::ImpulseMomentSolver(
+               core::SecondOrderImpulseMrm::uniform_impulse(s.model(), 0.4, 0.1))
+        .solve(0.8, opts);
+  };
+  expect_relabelled_bits(impulse(banded), impulse(shuffled), label, "impulse");
+}
+
+std::int64_t rcm_runs() { return obs::metric("sweep.rcm").count(); }
+
 TEST(ReorderTest, ReorderStatsReportBandwidthReduction) {
-  // The shuffled chain has a large labelled bandwidth; RCM should shrink it.
+  // The shuffled chain's labelled band is 17 wide; the sweep applies RCM
+  // because it recovers a narrower one.
   const RandomizationMomentSolver solver(shuffled_chain_model(32));
   MomentSolverOptions opts;
-  opts.max_moment = 1;
-  opts.reorder = ReorderPolicy::kRcm;
+  opts.max_moment = 4;
+  const std::int64_t runs0 = rcm_runs();
   const MomentResult res = solver.solve(1.0, opts);
   EXPECT_EQ(res.stats.reorder, "rcm");
-  EXPECT_GT(res.stats.bandwidth_before, 4u);
+  EXPECT_EQ(res.stats.bandwidth_before, 17u);
   EXPECT_LT(res.stats.bandwidth_after, res.stats.bandwidth_before);
+  if (obs::kEnabled) {
+    EXPECT_EQ(rcm_runs() - runs0, 1);
+  }
 
   // The impulse solver runs on the same sweep core, so the reorder applies
   // to it too (Q' and every impulse matrix permuted alike).
@@ -272,34 +330,79 @@ TEST(ReorderTest, ReorderStatsReportBandwidthReduction) {
 }
 
 TEST(ReorderTest, NoReorderStatsReportActualBandwidthNotStaleZeros) {
-  // With reorder == kNone there is no before/after pair to report, but the
-  // stats must still carry the matrix's real bandwidth on both fields (not
-  // default-initialized zeros) so dashboards can compare runs with and
-  // without the pass. Regression test: the impulse solver used to leave
-  // both fields at 0 on this path.
-  const auto model = shuffled_chain_model(32);
+  // The Table-1 multiplexer is tridiagonal: its bandwidth 1 already meets
+  // bandwidth_lower_bound, so the sweep skips the RCM pass altogether. The
+  // stats still carry the matrix's real bandwidth on both fields (not
+  // default-initialized zeros). Regression test: the impulse solver used to
+  // leave both fields at 0 on this path.
+  const auto model = models::make_onoff_multiplexer(models::table1_params(1.0));
   MomentSolverOptions opts;
-  opts.max_moment = 1;
-  opts.reorder = ReorderPolicy::kNone;
+  opts.max_moment = 4;
+  const std::int64_t runs0 = rcm_runs();
 
   const MomentResult rand_res =
-      RandomizationMomentSolver(model).solve(1.0, opts);
+      RandomizationMomentSolver(model).solve(0.5, opts);
   EXPECT_EQ(rand_res.stats.reorder, "none");
-  EXPECT_EQ(rand_res.stats.bandwidth_before, rand_res.stats.bandwidth_after);
-  EXPECT_GT(rand_res.stats.bandwidth_before, 0u);
+  EXPECT_EQ(rand_res.stats.bandwidth_before, 1u);
+  EXPECT_EQ(rand_res.stats.bandwidth_after, rand_res.stats.bandwidth_before);
 
-  // Impulse model on the same chain: empty impulse matrices keep the test
-  // focused on the Q' bandwidth bookkeeping.
-  const std::size_t n = model.num_states();
-  const core::SecondOrderImpulseMrm imodel(
-      model, CsrMatrix::from_triplets(n, n, {}),
-      CsrMatrix::from_triplets(n, n, {}));
   const MomentResult imp_res =
-      core::ImpulseMomentSolver(imodel).solve(1.0, opts);
+      core::ImpulseMomentSolver(
+          core::SecondOrderImpulseMrm::uniform_impulse(model, 0.4, 0.1))
+          .solve(0.5, opts);
   EXPECT_EQ(imp_res.stats.reorder, "none");
-  EXPECT_EQ(imp_res.stats.bandwidth_before, imp_res.stats.bandwidth_after);
-  EXPECT_GT(imp_res.stats.bandwidth_before, 0u);
-  EXPECT_EQ(imp_res.stats.bandwidth_before, rand_res.stats.bandwidth_before);
+  EXPECT_EQ(imp_res.stats.bandwidth_before, 1u);
+  EXPECT_EQ(imp_res.stats.bandwidth_after, imp_res.stats.bandwidth_before);
+  EXPECT_EQ(rcm_runs(), runs0) << "RCM ran on a chain it cannot narrow";
+}
+
+/// Random walk on a @p side x @p side grid of states, numbered row by row:
+/// bandwidth side, above the lower bound 2 (four neighbours a state).
+SecondOrderMrm grid_walk(std::size_t side) {
+  std::vector<Triplet> rates;
+  const auto id = [side](std::size_t r, std::size_t c) { return r * side + c; };
+  for (std::size_t r = 0; r < side; ++r)
+    for (std::size_t c = 0; c < side; ++c) {
+      if (c + 1 < side) {
+        rates.push_back({id(r, c), id(r, c + 1), 1.0});
+        rates.push_back({id(r, c + 1), id(r, c), 0.5});
+      }
+      if (r + 1 < side) {
+        rates.push_back({id(r, c), id(r + 1, c), 0.75});
+        rates.push_back({id(r + 1, c), id(r, c), 1.25});
+      }
+    }
+  const std::size_t n = side * side;
+  Vec drifts(n), vars(n, 0.2);
+  for (std::size_t i = 0; i < n; ++i) drifts[i] = 0.1 * static_cast<double>(i);
+  Vec initial(n, 0.0);
+  initial[0] = 1.0;
+  return SecondOrderMrm(ctmc::Generator::from_rates(n, rates), std::move(drifts),
+                        std::move(vars), std::move(initial));
+}
+
+TEST(ReorderTest, RcmThatDoesNotNarrowTheBandIsNotApplied) {
+  // The 4x4 grid's band (4) sits above the lower bound (2), so the sweep
+  // runs RCM; RCM relabels the states (a Cuthill-McKee order from a corner
+  // is not the row-by-row one) but reaches only bandwidth 4 again, so the
+  // sweep keeps the model's order.
+  const auto model = grid_walk(4);
+  const CsrMatrix q = core::scale_model(model).q_prime;
+  ASSERT_EQ(bandwidth(q), 4u);
+  ASSERT_EQ(bandwidth_lower_bound(q), 2u);
+  const auto rcm = rcm_permutation(q);
+  ASSERT_FALSE(std::is_sorted(rcm.begin(), rcm.end())) << "RCM relabels";
+  ASSERT_EQ(bandwidth(permute_symmetric(q, rcm)), 4u) << "but does not narrow";
+
+  MomentSolverOptions opts;
+  opts.max_moment = 3;
+  const std::int64_t runs0 = rcm_runs();
+  const MomentResult res = RandomizationMomentSolver(model).solve(0.7, opts);
+  EXPECT_EQ(res.stats.reorder, "none");
+  EXPECT_EQ(res.stats.bandwidth_after, res.stats.bandwidth_before);
+  if (obs::kEnabled) {
+    EXPECT_EQ(rcm_runs() - runs0, 1);
+  }
 }
 
 }  // namespace

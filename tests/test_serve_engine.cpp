@@ -5,8 +5,8 @@
 //    stopped rejections that never block, pinned in manual mode
 //    (num_workers = 0 + drain_one()) where nothing races the assertions;
 //  * key-grouped batching — same-sweep-key queries gathered across the
-//    queue into one query_batch, the max_batch cap, stop() draining
-//    accepted work;
+//    queue into one group, the max_batch cap, each group member delivered
+//    before the next is answered, stop() draining accepted work;
 //  * bit-identity under real concurrency — many client threads against a
 //    worker-driven engine with a tiny cache budget (evictions racing
 //    coalesced waiters), every streamed result EXPECT_EQ-equal to an
@@ -279,6 +279,34 @@ TEST(ServeEngineManualTest, CallbackFlavourDeliversResultAndRecord) {
   EXPECT_FALSE(r.record.sweep_key.empty());
   EXPECT_GE(r.total_ns, r.queue_ns);
   EXPECT_EQ(engine.stats().completed, 1u);
+}
+
+TEST(ServeEngineManualTest, GroupDeliversEachResultBeforeAnsweringTheNext) {
+  // A group is answered query by query: when a callback runs, the session
+  // has answered only the queries delivered so far, so a worker never
+  // holds more than one group member's result at a time.
+  const auto session = make_session(12, std::make_shared<SweepCache>());
+  ServeEngineOptions opts;
+  opts.num_workers = 0;
+  ServeEngine engine(session, opts);
+
+  constexpr std::size_t kGroup = 3;
+  std::vector<std::uint64_t> answered_at_delivery;
+  std::vector<std::uint64_t> completed_at_delivery;
+  for (std::size_t i = 0; i < kGroup; ++i) {
+    SessionQuery q;
+    q.time_index = i % 2;
+    engine.submit(q, [&](ServeResult&& r, std::exception_ptr error) {
+      EXPECT_EQ(error, nullptr);
+      EXPECT_EQ(r.batch_size, kGroup);
+      answered_at_delivery.push_back(session->report().queries);
+      completed_at_delivery.push_back(engine.stats().completed);
+    });
+  }
+  ASSERT_TRUE(engine.drain_one());
+  EXPECT_EQ(answered_at_delivery, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(completed_at_delivery, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(engine.stats().batches, 1u);
 }
 
 TEST(ServeEnginePreparedTest, SubmitRejectsMalformedQueriesSynchronously) {

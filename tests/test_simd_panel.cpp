@@ -4,9 +4,9 @@
 // bit-identical to the scalar reference — per panel column the vector
 // kernels execute the scalar multiply-then-add chain in the same order, so
 // EXPECT_EQ on doubles is the correct assertion, not EXPECT_NEAR. Every
-// x86-64 build compiles the vector levels in, so the level loop runs the
-// real matrix of (level × width × thread count) comparisons wherever the
-// CPU has them; elsewhere it degrades to a scalar self-check.
+// x86-64 build compiles the AVX2 level in, so the level loop runs the real
+// matrix of (level × width × thread count) comparisons wherever the CPU
+// has AVX2; elsewhere it degrades to a scalar self-check.
 
 #include "linalg/simd.hpp"
 
@@ -51,8 +51,6 @@ std::vector<simd::Level> compiled_levels() {
   const int top = static_cast<int>(simd::highest_supported());
   if (top >= static_cast<int>(simd::Level::kAvx2))
     levels.push_back(simd::Level::kAvx2);
-  if (top >= static_cast<int>(simd::Level::kAvx512))
-    levels.push_back(simd::Level::kAvx512);
   return levels;
 }
 
@@ -67,36 +65,32 @@ class SimdPanelTest : public ::testing::Test {
 };
 
 TEST_F(SimdPanelTest, LevelClampsToSupportAndRoundTrips) {
-  simd::set_level(simd::Level::kAvx512);
-  EXPECT_LE(static_cast<int>(simd::active_level()),
-            static_cast<int>(simd::highest_supported()));
+  simd::set_level(simd::Level::kAvx2);
+  EXPECT_EQ(simd::active_level(), simd::highest_supported())
+      << "AVX2 is the top level: requesting it clamps to what the CPU has";
   simd::set_level(simd::Level::kScalar);
   EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
   EXPECT_EQ(simd::panel_rows_kernel(), nullptr)
       << "scalar level must fall through to the reference kernels";
 #if SOMRM_SIMD_X86
-  const simd::Level cpu = __builtin_cpu_supports("avx512f")
-                              ? simd::Level::kAvx512
-                          : __builtin_cpu_supports("avx2")
+  const simd::Level cpu = __builtin_cpu_supports("avx2")
                               ? simd::Level::kAvx2
                               : simd::Level::kScalar;
   EXPECT_EQ(simd::highest_supported(), cpu)
-      << "every x86-64 build compiles the vector kernels in and reports "
-         "the CPU's level";
+      << "every x86-64 build compiles the AVX2 kernels in, and AVX2 is the "
+         "level of every AVX2 CPU (AVX-512 ones included)";
 #else
   EXPECT_EQ(simd::highest_supported(), simd::Level::kScalar)
       << "only x86-64 builds compile vector kernels in";
 #endif
   EXPECT_STREQ(simd::level_name(simd::Level::kScalar), "scalar");
   EXPECT_STREQ(simd::level_name(simd::Level::kAvx2), "avx2");
-  EXPECT_STREQ(simd::level_name(simd::Level::kAvx512), "avx512");
 }
 
 TEST_F(SimdPanelTest, PanelProductBitIdenticalAcrossLevelsWidthsThreads) {
   const std::size_t n = 3000;
   const CsrMatrix m = lcg_matrix(n, n, 7);
-  // Widths 1..8 hit every fixed-width kernel (and every AVX2/AVX-512 tail
-  // mask); 24 is the widest solver panel (bounds pipeline); 33 exceeds the
+  // Widths 1..8 hit every fixed-width kernel (and every AVX2 tail mask); 24 is the widest solver panel (bounds pipeline); 33 exceeds the
   // 32-column chunk, forcing the chunk loop plus a width-1 tail pass.
   const std::size_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 24, 33};
   for (std::size_t width : widths) {

@@ -4,9 +4,11 @@
 Re-implements the determinism rules of tools/lint_determinism.py on the
 clang AST (libclang + compile_commands.json), where regex cannot follow —
 through macro expansions, typedef/using aliases, lambda captures, and
-operator overloads — and adds a bit-identity rule set the regex version has
-no way to express. Diagnostics carry exact file:line:col locations (the
-macro EXPANSION site, so a waiver comment on the use line works).
+operator overloads — and adds no-fast-math, which needs the compile
+commands. The bit-identity rules no-std-fma and no-fp-contract also run,
+lexically, in the regex version under the same names. Diagnostics carry
+exact file:line:col locations (the macro EXPANSION site, so a waiver
+comment on the use line works).
 
 Rules (see DESIGN.md section 8.4 for the rule -> contract table):
 

@@ -27,13 +27,22 @@ time instead of waiting for a flaky numerical diff:
                            is not declared in the body — a by-reference
                            captured accumulator is both a data race and
                            an order-dependent FP sum.
+  no-std-fma               std::fma/fmaf/fmal(...) or __builtin_fma*(...)
+                           — a fused multiply-add rounds once where every
+                           lane kernel rounds the product and the sum
+                           separately, so bit-identity with the
+                           -ffp-contract=off build is lost.
+  no-fp-contract           `#pragma STDC FP_CONTRACT ON/DEFAULT` or
+                           `#pragma clang fp contract(fast|on)` — re-enables
+                           the contraction the build globally forbids.
 
-Relationship to tools/ast_lint.py: all four rules are re-grounded on the
-clang AST there (canonical types see through aliases, diagnostics follow
-macro expansions, capture analysis resolves the declaration a `+=` LHS
-references), plus bit-identity rules regex cannot express (no-std-fma,
-no-fp-contract, no-fast-math). This regex version is deliberately kept as
-the zero-dependency fallback that runs in environments without libclang;
+Relationship to tools/ast_lint.py: the first four rules are re-grounded on
+the clang AST there (canonical types see through aliases, diagnostics
+follow macro expansions, capture analysis resolves the declaration a `+=`
+LHS references); the two bit-identity rules are lexical in both lints and
+carry the same names, and the AST lint adds no-fast-math, which needs the
+compile commands. This regex version is deliberately kept as the
+zero-dependency fallback that runs in environments without libclang;
 `ast_lint.py --cross-validate` asserts the two agree — every finding here
 must be reproduced by an AST finding at the same site or covered by one
 of its refinement records (see DESIGN.md section 8.4).
@@ -62,6 +71,8 @@ RULES = (
     "no-raw-entropy",
     "no-adhoc-fp-reduction",
     "no-shared-capture",
+    "no-std-fma",
+    "no-fp-contract",
 )
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
@@ -72,6 +83,12 @@ STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 UNORDERED_RE = re.compile(r"\bstd::unordered_(?:map|set|multimap|multiset)\b")
 RAW_ENTROPY_RE = re.compile(r"(?<![\w:])(?:std::)?(?:rand|srand|time)\s*\(")
 FP_REDUCTION_RE = re.compile(r"\bstd::(?:accumulate|reduce)\s*[<(]")
+STD_FMA_RE = re.compile(r"\b(?:std::fma|__builtin_fma)f?l?\s*\(")
+# The pragma forms tools/ast_lint.py flags: only those that turn
+# contraction ON (an explicit OFF is what the build already does).
+FP_CONTRACT_RE = re.compile(
+    r"#\s*pragma\s+STDC\s+FP_CONTRACT\s+(?:ON|DEFAULT)\b"
+    r"|#\s*pragma\s+clang\s+fp\s+contract\s*\(\s*(?:fast|on)\s*\)")
 PARALLEL_FOR_RE = re.compile(r"\bparallel_for(?:_reduce)?\s*\(")
 COMPOUND_ADD_RE = re.compile(r"(?<![-+<>=!*/&|^%])\b([A-Za-z_]\w*)\s*\+=")
 LOCAL_DECL_RE = re.compile(
@@ -162,30 +179,32 @@ def lint_file(path: Path, src_root: Path) -> list[Violation]:
                     f"lint:allow-file names unknown rule '{rule}'; known "
                     f"rules: {', '.join(RULES)}"))
 
+    line_rules = [
+        ("no-unordered-iteration", UNORDERED_RE,
+         "std::unordered_* iteration order is unspecified; use "
+         "std::map/std::vector or add // lint:allow(no-unordered-iteration)"),
+        ("no-raw-entropy", RAW_ENTROPY_RE,
+         "rand()/srand()/time() inject hidden global state; use a "
+         "seeded <random> engine"),
+        ("no-std-fma", STD_FMA_RE,
+         "fused multiply-add rounds once where the lane kernels round "
+         "twice; bit-identity with -ffp-contract=off is lost"),
+        ("no-fp-contract", FP_CONTRACT_RE,
+         "FP contraction re-enabled by pragma: the build pins "
+         "-ffp-contract=off for bit-identity"),
+    ]
+    if not in_linalg:
+        line_rules.append((
+            "no-adhoc-fp-reduction", FP_REDUCTION_RE,
+            "floating-point reductions must use the fixed-order helpers "
+            "in linalg (sum/dot/parallel_reduce), not std::accumulate/"
+            "std::reduce"))
+    line_rules = [r for r in line_rules if r[0] not in file_waived]
     for idx, raw in enumerate(lines, start=1):
         code = strip_noise(raw)
-        if "no-unordered-iteration" in file_waived:
-            pass
-        elif UNORDERED_RE.search(code) and not allowed(raw, "no-unordered-iteration"):
-            out.append(Violation(
-                rel, idx, "no-unordered-iteration",
-                "std::unordered_* iteration order is unspecified; use "
-                "std::map/std::vector or add // lint:allow(no-unordered-iteration)"))
-        if "no-raw-entropy" in file_waived:
-            pass
-        elif RAW_ENTROPY_RE.search(code) and not allowed(raw, "no-raw-entropy"):
-            out.append(Violation(
-                rel, idx, "no-raw-entropy",
-                "rand()/srand()/time() inject hidden global state; use a "
-                "seeded <random> engine"))
-        if (not in_linalg and "no-adhoc-fp-reduction" not in file_waived
-                and FP_REDUCTION_RE.search(code)
-                and not allowed(raw, "no-adhoc-fp-reduction")):
-            out.append(Violation(
-                rel, idx, "no-adhoc-fp-reduction",
-                "floating-point reductions must use the fixed-order helpers "
-                "in linalg (sum/dot/parallel_reduce), not std::accumulate/"
-                "std::reduce"))
+        for rule, regex, message in line_rules:
+            if regex.search(code) and not allowed(raw, rule):
+                out.append(Violation(rel, idx, rule, message))
 
     for start, end in find_parallel_bodies(lines):
         if "no-shared-capture" in file_waived:

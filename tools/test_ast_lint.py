@@ -360,13 +360,16 @@ std::unordered_map<int, int> m;
 
     def test_cross_validation_matches_regex_findings(self):
         # Every regex-visible violation must be reproduced at the same
-        # site, and the integer-accumulate the regex flags (but the AST
-        # examines and allows) must be covered by a refinement record.
+        # site (the lexical bit-identity rules included, under the same
+        # rule names), and the integer-accumulate the regex flags (but the
+        # AST examines and allows) must be covered by a refinement record.
         self.tree.add("xval.cpp", """\
 #include "fake_std.hpp"
 std::unordered_map<int, int> m;
 int draw() { return rand(); }
 int count(const int* p) { return std::accumulate(p, p + 3, 0); }
+double fused(double a, double b, double c) { return std::fma(a, b, c); }
+#pragma STDC FP_CONTRACT ON
 """)
         status, findings, out = self.tree.run("--cross-validate")
         self.assertEqual(status, 1)  # real findings exist...

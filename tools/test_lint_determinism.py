@@ -136,6 +136,49 @@ class LintDeterminismTest(unittest.TestCase):
         self.assertIn("core/sellcs.cpp", proc.stdout)
         self.assertNotIn("linalg/sellcs.cpp", proc.stdout)
 
+    def test_std_fma_and_builtin_fma_flagged(self) -> None:
+        self.write("linalg/k.cpp", (
+            "double a = std::fma(x, y, z);\n"
+            "float b = std::fmaf(x, y, z);\n"
+            "double c = __builtin_fma(x, y, z);\n"
+            "double d = std::fmax(x, y);\n"
+            "double e = x * y + z;  // not std::fma(x, y, z)\n"))
+        proc = run_lint(self.root)
+        self.assertEqual(proc.returncode, 1)
+        # linalg/ is not exempt: the lane kernels are what the rule guards.
+        self.assertEqual(proc.stdout.count("[no-std-fma]"), 3, proc.stdout)
+        for line in (1, 2, 3):
+            self.assertIn(f"k.cpp:{line}:", proc.stdout)
+
+    def test_fp_contract_pragmas_flagged_unless_off(self) -> None:
+        self.write("a.cpp", (
+            "#pragma STDC FP_CONTRACT ON\n"
+            "#pragma clang fp contract(fast)\n"
+            "#pragma STDC FP_CONTRACT OFF\n"
+            "#pragma clang fp contract(off)\n"))
+        proc = run_lint(self.root)
+        self.assertEqual(proc.returncode, 1)
+        self.assertEqual(proc.stdout.count("[no-fp-contract]"), 2, proc.stdout)
+        self.assertIn("a.cpp:1:", proc.stdout)
+        self.assertIn("a.cpp:2:", proc.stdout)
+
+    def test_bit_identity_rules_take_both_waiver_forms(self) -> None:
+        self.write("a.cpp", (
+            "double a = std::fma(x, y, z);  // lint:allow(no-std-fma)\n"
+            "#pragma STDC FP_CONTRACT ON  // lint:allow(no-std-fma)\n"))
+        proc = run_lint(self.root)
+        self.assertEqual(proc.returncode, 1)
+        self.assertNotIn("no-std-fma", proc.stdout)
+        self.assertIn("a.cpp:2: [no-fp-contract]", proc.stdout)
+
+        self.write("a.cpp", (
+            "// lint:allow-file(no-fp-contract)\n"
+            "// lint:allow-file(no-std-fma)\n"
+            "#pragma STDC FP_CONTRACT ON\n"
+            "double c = __builtin_fma(x, y, z);\n"))
+        proc = run_lint(self.root)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
 
 if __name__ == "__main__":
     unittest.main()
