@@ -2,10 +2,11 @@
 //
 // The paper argues second-order analysis costs practically the same as
 // first-order; this harness extends the claim to impulse rewards: per
-// iteration the impulse solver adds one sparse matvec per (moment order x
-// non-zero impulse matrix), so n = 3 moments with impulses on every
-// transition roughly doubles the per-iteration work but leaves G and the
-// asymptotics unchanged.
+// iteration the impulse solver adds, inside the same fused row pass as the
+// Q' dot product, one pass over each row of every non-zero impulse matrix
+// A~_l (summed into the row's orders while they sit in registers), so
+// impulses on every transition add per-iteration work in proportion to the
+// impulse matrices' entries but leave G and the asymptotics unchanged.
 
 #include <cstdio>
 

@@ -25,7 +25,6 @@
 #include "core/randomization.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/parallel.hpp"
-#include "linalg/simd.hpp"
 #include "models/birth_death.hpp"
 
 namespace {
@@ -151,38 +150,6 @@ void BM_SolveVsThreads(benchmark::State& state) {
   state.counters["states"] = static_cast<double>(states);
 }
 
-// CSR x panel row-kernel throughput per SIMD dispatch level, isolated from
-// the solver (no truncation search, no Poisson windows — just
-// multiply_panel on a birth-death-shaped matrix). Registered dynamically in
-// main() once per level the build compiled in AND the host supports, so an
-// x86-64 build on an AVX2 host shows both and other targets show scalar
-// only. All levels produce bit-identical panels
-// (test_simd_panel); this benchmark shows what that contract costs.
-void BM_PanelRowsSimd(benchmark::State& state, linalg::simd::Level level) {
-  const std::size_t states = 40000, width = 5;
-  const auto model = make_chain(states, 1.0);
-  const linalg::CsrMatrix& a = model.generator().matrix();
-  linalg::Panel x(a.cols(), width), y(a.rows(), width);
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < width; ++j)
-      x(i, j) = 1.0 + 1.0 / static_cast<double>(i + j + 1);
-  linalg::set_num_threads(1);
-  linalg::simd::set_level(level);
-  for (auto _ : state) {
-    a.multiply_panel(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  linalg::simd::set_level(linalg::simd::highest_supported());
-  linalg::set_num_threads(0);
-  state.counters["states"] = static_cast<double>(states);
-  state.counters["threads"] = 1.0;
-  // 2 flops (mul + add) per stored entry per panel column, per iteration.
-  state.counters["gflops"] = benchmark::Counter(
-      2.0 * static_cast<double>(a.nnz()) * static_cast<double>(width),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::OneK::kIs1000);
-}
-
 // The panel sweep kernel, single-threaded. Args: (states, max_moment);
 // (50000, 4) is the Table-2-scale configuration.
 void BM_SweepPanel(benchmark::State& state) {
@@ -288,16 +255,6 @@ int main(int argc, char** argv) {
           ->Args({static_cast<std::int64_t>(t), static_cast<std::int64_t>(n)})
           ->Unit(benchmark::kMillisecond)
           ->UseRealTime();
-  for (int lvl = 0; lvl <= static_cast<int>(somrm::linalg::simd::highest_supported());
-       ++lvl) {
-    const auto level = static_cast<somrm::linalg::simd::Level>(lvl);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_PanelRowsSimd/") +
-         somrm::linalg::simd::level_name(level))
-            .c_str(),
-        BM_PanelRowsSimd, level)
-        ->Unit(benchmark::kMillisecond);
-  }
 
   somrm::bench::JsonWriter writer(
       !json_append_path.empty() ? json_append_path : json_path,

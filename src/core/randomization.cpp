@@ -53,176 +53,192 @@ struct ActiveWeight {
 /// hand-off while still splitting four ways at 10k states.
 constexpr std::size_t kFusedGrain = 1024;
 
-/// Rows per cache block inside a wide-step row range. The SpMM write, the
-/// R'/½S' diagonal update, the impulse convolution and the Poisson-weighted
-/// accumulation all touch the same u_next slab; running them block-by-block
-/// keeps that slab (kPanelBlockRows * width doubles) resident in L1/L2
-/// across the stages instead of streaming the full panel from DRAM once per
-/// stage. Pure traffic optimization: per element the arithmetic chain is
-/// unchanged, so results stay bit-identical.
-constexpr std::size_t kPanelBlockRows = 1024;
+/// A scaled impulse-moment matrix A~_l with at least one stored entry.
+struct ImpulseTerm {
+  std::size_t l;
+  const linalg::CsrMatrix* mat;
+};
 
-/// Fully fused row kernel for one panel recursion step with a compile-time
-/// panel width W = n+1 and recursion floor JLO (0 or 1): per row the
-/// entry-order dot products, the R'/½S' diagonal terms, the store to
-/// u_next, and the Poisson-weighted accumulation into every active acc
-/// panel all happen while the row's iterated orders sit in registers — one
-/// pass over the sparse structure AND one pass over the panels per step.
-///
-/// Order j = JLO + c lives in lane c of a Lanes<W - JLO> pack
-/// (linalg/lanes.hpp). Each order is its own chain and the only value read
-/// across lanes is the source row u_i, which is final for this step, so the
-/// orders vectorize with no cross-lane dependency. Per element the chain is
-/// exactly the wide step's — dot product in entry order, then
-/// + R' u^(j-1), then + ½S' u^(j-2), then acc += w * value — so every lane
-/// pack gives the same bits.
-///
-/// JLO == 1 (plain sweep): lane 0 of both panels is the invariant ones
-/// column; it is never recomputed and its accumulation is left to
-/// run_sweep, which sums the identical per-state chain once per time point.
-template <std::size_t W, std::size_t JLO, template <std::size_t> class Lanes>
-void panel_step_rows(const linalg::CsrMatrix& mat, const ScaledModel& scaled,
-                     const double* ubase, double* obase,
-                     std::span<const ActiveWeight> active,
-                     std::span<double* const> acc_base, std::size_t row_begin,
-                     std::size_t row_end) {
-  if constexpr (W > JLO) {  // W == JLO: the n = 0 plain sweep, no lane
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      const double* ui = ubase + i * W;
-      Lanes<W - JLO> s;
-      mat.visit_row(i, [&](std::size_t col, double v) {
-        s.add_product(v, ubase + col * W + JLO);
-      });
-      s.template add_shifted<1 - JLO>(scaled.r_prime[i], ui);
-      s.template add_shifted<2 - JLO>(0.5 * scaled.s_prime[i], ui);
-      s.store(obase + i * W + JLO);
-      for (std::size_t a = 0; a < active.size(); ++a)
-        s.accumulate_into(active[a].w, acc_base[a] + i * W + JLO);
+/// What one recursion step reads and writes, resolved once per step.
+struct StepArgs {
+  const ScaledModel* scaled = nullptr;
+  /// The A~_l with nnz() > 0, in ascending l (empty for non-impulse sweeps).
+  std::span<const ImpulseTerm> impulse{};
+  const double* u = nullptr;  // U(k), row-major, width doubles per state
+  double* u_next = nullptr;   // U(k+1), same layout
+  std::size_t width = 0;      // n + 1
+  std::span<const ActiveWeight> active{};
+  std::span<double* const> acc{};  // acc panel base per active weight
+};
+
+/// Calls f.template operator()<B>() for the runtime lane count (or lane
+/// shift) b in 1..8.
+template <class F>
+void with_lanes(std::size_t b, F&& f) {
+  switch (b) {
+    case 1: return f.template operator()<1>();
+    case 2: return f.template operator()<2>();
+    case 3: return f.template operator()<3>();
+    case 4: return f.template operator()<4>();
+    case 5: return f.template operator()<5>();
+    case 6: return f.template operator()<6>();
+    case 7: return f.template operator()<7>();
+    default: return f.template operator()<8>();
+  }
+}
+
+/// One lane block of one row of the recursion step: lane c of a
+/// Lanes<B> pack holds order j = o + c with o = JLO + c0 (kFirst: c0 == 0),
+/// and the row's
+///   u_next(i, j) = (Q' u)(i, j) + R'_i u(i, j-1) + 1/2 S'_i u(i, j-2)
+///                  + sum_{l=1..j} (A~_l u)(i, j-l)
+/// is formed in registers, stored, and accumulated into every active acc
+/// panel. A term reading order j - l comes from x + (o - l) when l <= o,
+/// and otherwise at lane shift M = l - o from x itself, lanes below M left
+/// untouched (the orders j < l the term does not reach). Each order is its
+/// own chain and the only value read across lanes is the source rows of u,
+/// final for this step, so the lanes vectorize with no cross-lane
+/// dependency and every Lanes instantiation gives the same bits. Per
+/// element: the Q' dot product in entry order, then + R', then + ½S', then
+/// each A~_l in ascending l, summed over the row's entries in its own
+/// zeroed pack before the add, then acc += w * value.
+template <std::size_t B, std::size_t JLO, bool kFirst, bool kImpulse,
+          template <std::size_t> class Lanes>
+inline void step_block(const StepArgs& a, std::size_t w, std::size_t i,
+                       std::size_t c0) {
+  const double* u = a.u;
+  const double* ui = u + i * w;
+  const std::size_t o = JLO + c0;
+  Lanes<B> s;
+  a.scaled->q_prime.visit_row(
+      i, [&](std::size_t col, double v) { s.add_product(v, u + col * w + o); });
+  const double r = a.scaled->r_prime[i];
+  const double half_s = 0.5 * a.scaled->s_prime[i];
+  if constexpr (kFirst) {
+    s.template add_shifted<1 - JLO>(r, ui);
+    s.template add_shifted<2 - JLO>(half_s, ui);
+  } else {
+    s.add_product(r, ui + o - 1);
+    s.add_product(half_s, ui + o - 2);
+  }
+  if constexpr (kImpulse) {
+    for (const ImpulseTerm& term : a.impulse) {
+      if (term.l <= o) {
+        Lanes<B> t;
+        term.mat->visit_row(i, [&](std::size_t col, double v) {
+          t.add_product(v, u + col * w + (o - term.l));
+        });
+        s.template add_from<0>(t);
+      } else if (term.l - o < B) {
+        with_lanes(term.l - o, [&]<std::size_t M>() {
+          if constexpr (M < B) {
+            Lanes<B> t;
+            term.mat->visit_row(i, [&](std::size_t col, double v) {
+              t.template add_shifted<M>(v, u + col * w);
+            });
+            s.template add_from<M>(t);
+          }
+        });
+      } else {
+        break;  // ascending l: no later term reaches this block either
+      }
     }
+  }
+  s.store(a.u_next + i * w + o);
+  for (std::size_t k = 0; k < a.active.size(); ++k)
+    s.accumulate_into(a.active[k].w, a.acc[k] + i * w + o);
+}
+
+/// The fused row kernel for rows [row_begin, row_end) of one recursion step
+/// over iterated orders JLO..n: one pass over each row's sparse entries and
+/// one over the panels, the row's orders in registers throughout.
+/// W = n + 1 in 1..8 is a compile-time width, one lane block; W == 0 takes
+/// the width from @p args and walks the orders in blocks of 8 lanes, the last
+/// block's lane count resolved to a compile-time one per block. kImpulse
+/// adds the A~_l stage (impulse sweeps only), so the plain and weighted
+/// instantiations carry none of it.
+///
+/// JLO == 1 (plain and impulse sweeps): column 0 of both panels is the
+/// invariant ones column; it is never recomputed and its accumulation is
+/// left to run_sweep, which sums the identical per-state chain once per
+/// time point. JLO == 0 (terminal-weighted): column 0 iterates too.
+template <std::size_t W, std::size_t JLO, bool kImpulse,
+          template <std::size_t> class Lanes>
+void panel_step_rows(const StepArgs& args, std::size_t row_begin,
+                     std::size_t row_end) {
+  // A local copy whose address never escapes: the lane stores (may_alias
+  // vector types) then cannot force a reload of every field per row.
+  const StepArgs a = args;
+  if constexpr (W == 0) {
+    const std::size_t w = a.width;
+    const std::size_t lanes = w - JLO;  // >= 8: the width is at least 9
+    for (std::size_t i = row_begin; i < row_end; ++i) {
+      step_block<8, JLO, true, kImpulse, Lanes>(a, w, i, 0);
+      for (std::size_t c0 = 8; c0 < lanes; c0 += 8)
+        with_lanes(std::min<std::size_t>(8, lanes - c0),
+                   [&]<std::size_t B>() {
+                     step_block<B, JLO, false, kImpulse, Lanes>(a, w, i, c0);
+                   });
+    }
+  } else if constexpr (W > JLO) {  // W == JLO: the n = 0 plain sweep
+    for (std::size_t i = row_begin; i < row_end; ++i)
+      step_block<W - JLO, JLO, true, kImpulse, Lanes>(a, W, i, 0);
   }
 }
 
 #if SOMRM_SIMD_X86
 /// The AVX2 instantiation of panel_step_rows. flatten inlines the body, the
-/// visit_row callback and the lane operations into this one AVX2 function
+/// visit_row callbacks and the lane operations into this one AVX2 function
 /// (see linalg/lanes.hpp); run only when the CPU has AVX2.
-template <std::size_t W, std::size_t JLO>
+template <std::size_t W, std::size_t JLO, bool kImpulse>
 __attribute__((target("avx2"), flatten)) void panel_step_rows_avx2(
-    const linalg::CsrMatrix& mat, const ScaledModel& scaled,
-    const double* ubase, double* obase, std::span<const ActiveWeight> active,
-    std::span<double* const> acc_base, std::size_t row_begin,
-    std::size_t row_end) {
-  panel_step_rows<W, JLO, linalg::Avx2Lanes>(mat, scaled, ubase, obase,
-                                             active, acc_base, row_begin,
-                                             row_end);
+    const StepArgs& a, std::size_t row_begin, std::size_t row_end) {
+  panel_step_rows<W, JLO, kImpulse, linalg::Avx2Lanes>(a, row_begin, row_end);
 }
 #endif
 
-using StepRowsFn = void (*)(const linalg::CsrMatrix&, const ScaledModel&,
-                            const double*, double*,
-                            std::span<const ActiveWeight>,
-                            std::span<double* const>, std::size_t,
-                            std::size_t);
+using StepRowsFn = void (*)(const StepArgs&, std::size_t, std::size_t);
 
-/// Widest panel the fused row kernel handles; wider panels, and every
-/// impulse sweep, take panel_step's cache-blocked wide path.
-constexpr std::size_t kFusedMaxWidth = 8;
-
-/// One j_lo row of kStepRows.
-template <bool kAvx2, std::size_t JLO, std::size_t... I>
-constexpr std::array<StepRowsFn, sizeof...(I)> step_rows_table(
-    std::index_sequence<I...>) {
+/// One (j_lo, impulse) row of kStepRows: entry 0 is the runtime width,
+/// entry W the compile-time width W in 1..8.
+template <bool kAvx2, std::size_t JLO, bool kImpulse, std::size_t... W>
+constexpr std::array<StepRowsFn, sizeof...(W)> step_rows_table(
+    std::index_sequence<W...>) {
 #if SOMRM_SIMD_X86
-  if constexpr (kAvx2) return {&panel_step_rows_avx2<I + 1, JLO>...};
+  if constexpr (kAvx2) return {&panel_step_rows_avx2<W, JLO, kImpulse>...};
 #endif
-  return {&panel_step_rows<I + 1, JLO, linalg::ScalarLanes>...};
+  return {&panel_step_rows<W, JLO, kImpulse, linalg::ScalarLanes>...};
 }
 
-/// Fused row kernels by [j_lo][width - 1] for widths 1..kFusedMaxWidth;
-/// kAvx2 selects the AVX2 instantiations (the scalar ones off x86-64).
+/// Row kernels by [sweep][width <= 8 ? width : 0] for the terminal-weighted
+/// (j_lo = 0), plain (j_lo = 1) and impulse (j_lo = 1) sweeps; kAvx2
+/// selects the AVX2 instantiations (the scalar ones off x86-64).
 template <bool kAvx2>
-constexpr std::array<std::array<StepRowsFn, kFusedMaxWidth>, 2> kStepRows{
-    step_rows_table<kAvx2, 0>(std::make_index_sequence<kFusedMaxWidth>{}),
-    step_rows_table<kAvx2, 1>(std::make_index_sequence<kFusedMaxWidth>{})};
+constexpr std::array<std::array<StepRowsFn, 9>, 3> kStepRows{
+    step_rows_table<kAvx2, 0, false>(std::make_index_sequence<9>{}),
+    step_rows_table<kAvx2, 1, false>(std::make_index_sequence<9>{}),
+    step_rows_table<kAvx2, 1, true>(std::make_index_sequence<9>{})};
 
 /// One row-parallel step of the recursion over the panel layout: the
 /// iterates U^(j_lo..n)(k) live in the contiguous row-major panel u
-/// (u(i, j) = U^(j)(k)_i) and the step computes
-///   u_next(i, j) = (Q' u)(i, j) + R'_i u(i, j-1) + 1/2 S'_i u(i, j-2)
-///                  + sum_{l=1..j} (A~_l u)(i, j-l)
-/// (the last term only for an impulse sweep) with ONE pass over the CSR
-/// structure — each matrix entry is loaded once and multiplied against the
-/// contiguous doubles of the source row — folding the diagonal terms and
-/// the Poisson-weighted accumulation acc[ti] += w * u_next into the same
-/// per-row pass. @p rows is the fused row kernel for the sweep's width; when
-/// it is nullptr (panels wider than kFusedMaxWidth, impulse sweeps) the
-/// step runs a cache-blocked wide path over the same arithmetic. Per
-/// element the order is: the Q' dot product in entry order, then R', then
-/// ½S', then each A~_l term in ascending l in its own accumulator, then the
-/// weighted accumulation — fixed per row, so results are bit-identical at
-/// every thread count and in either path.
-///
-/// j_lo == 1 (plain and impulse sweeps): column 0 of both panels holds the
-/// invariant all-ones vector h and is never recomputed; the fused kernel
-/// leaves acc column 0 to run_sweep (the wide path still adds it per state
-/// — the same bits run_sweep fills in). j_lo == 0 (terminal-weighted): the
-/// seed vector is not invariant and column 0 is iterated like the rest.
-void panel_step(StepRowsFn rows, const ScaledModel& scaled,
-                std::span<const linalg::CsrMatrix> impulse, std::size_t n,
-                std::size_t j_lo, linalg::Panel& u, linalg::Panel& u_next,
-                std::span<const ActiveWeight> active,
-                std::vector<linalg::Panel>& acc) {
-  const linalg::CsrMatrix& mat = scaled.q_prime;
-  const std::size_t width = n + 1;
+/// (u(i, j) = U^(j)(k)_i) and @p rows forms u_next and folds the
+/// Poisson-weighted accumulation acc[ti] += w * u_next into the same
+/// per-row pass (panel_step_rows). Rows are owned by one range and the
+/// per-element order is fixed, so results are bit-identical at every
+/// thread count.
+void panel_step(StepRowsFn rows, StepArgs args, linalg::Panel& u,
+                linalg::Panel& u_next, std::vector<linalg::Panel>& acc) {
   // Per-weight destination base pointers, resolved once per step.
-  std::vector<double*> acc_base(active.size());
-  for (std::size_t a = 0; a < active.size(); ++a)
-    acc_base[a] = acc[active[a].ti].data();
-  const double* ubase = u.data();
-  double* obase = u_next.data();
+  std::vector<double*> acc_base(args.active.size());
+  for (std::size_t a = 0; a < args.active.size(); ++a)
+    acc_base[a] = acc[args.active[a].ti].data();
+  args.u = u.data();
+  args.u_next = u_next.data();
+  args.acc = acc_base;
   linalg::parallel_for(
-      mat.rows(),
+      u.rows(),
       [&](std::size_t row_begin, std::size_t row_end) {
-        if (rows != nullptr) {
-          rows(mat, scaled, ubase, obase, active, acc_base, row_begin,
-               row_end);
-          return;
-        }
-        // Wide path: cache-block the range so the u_next slab written by
-        // the SpMM is still hot when the later stages re-read it (see
-        // kPanelBlockRows).
-        for (std::size_t b0 = row_begin; b0 < row_end; b0 += kPanelBlockRows) {
-          const std::size_t b1 = std::min(row_end, b0 + kPanelBlockRows);
-          mat.multiply_panel_rows(u, u_next, b0, b1,
-                                  /*src_col=*/j_lo,
-                                  /*dst_col=*/j_lo, width - j_lo,
-                                  /*accumulate=*/false);
-          for (std::size_t i = b0; i < b1; ++i) {
-            const double* ui = u.row_data(i);
-            double* oi = u_next.row_data(i);
-            const double r = scaled.r_prime[i];
-            for (std::size_t j = std::max<std::size_t>(j_lo, 1); j <= n; ++j)
-              oi[j] += r * ui[j - 1];
-            const double half_s = 0.5 * scaled.s_prime[i];
-            for (std::size_t j = std::max<std::size_t>(j_lo, 2); j <= n; ++j)
-              oi[j] += half_s * ui[j - 2];
-          }
-          // Impulse convolution in ascending l: element (i, j) receives its
-          // A~_1 .. A~_j terms in that order, each summed over the row's
-          // entries in its own accumulator before the add.
-          for (std::size_t l = 1; l <= impulse.size(); ++l) {
-            if (impulse[l - 1].nnz() == 0) continue;
-            impulse[l - 1].multiply_panel_rows(u, u_next, b0, b1,
-                                               /*src_col=*/0, /*dst_col=*/l,
-                                               width - l,
-                                               /*accumulate=*/true);
-          }
-          const std::size_t lo = b0 * width;
-          const std::size_t len = (b1 - b0) * width;
-          for (const ActiveWeight& aw : active)
-            linalg::axpy(aw.w, u_next.span().subspan(lo, len),
-                         acc[aw.ti].span().subspan(lo, len));
-        }
+        rows(args, row_begin, row_end);
       },
       kFusedGrain);
   u.swap(u_next);
@@ -484,16 +500,19 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
   stats.sweep_steps = g_max;
   stats.sweep_flops = g_max * flops_per_step;
 
-  // The step kernel is chosen once per sweep from the dispatch level: the
-  // fused row kernel runs its AVX2 or scalar lane body; the wide path's
-  // SpMMs dispatch on the same level.
+  // The step kernel is chosen once per sweep from the dispatch level, the
+  // sweep kind and the width.
   const std::size_t width = n + 1;
   const linalg::simd::Level level = linalg::simd::active_level();
-  const bool avx2 = level == linalg::simd::Level::kAvx2;
-  const bool wide = spec.impulse_recursion || width > kFusedMaxWidth;
+  const std::size_t sweep_kind = spec.impulse_recursion ? 2 : j_lo;
   const StepRowsFn rows =
-      wide ? nullptr
-           : (avx2 ? kStepRows<true> : kStepRows<false>)[j_lo][width - 1];
+      (level == linalg::simd::Level::kAvx2 ? kStepRows<true>
+                                           : kStepRows<false>)
+          [sweep_kind][width < kStepRows<false>[0].size() ? width : 0];
+  std::vector<ImpulseTerm> impulse_terms;
+  for (std::size_t l = 1; l <= impulse.size(); ++l)
+    if (impulse[l - 1].nnz() > 0)
+      impulse_terms.push_back(ImpulseTerm{l, &impulse[l - 1]});
   stats.kernel = spec.impulse_recursion ? "impulse_panel" : "panel";
   stats.simd = linalg::simd::level_name(level);
 
@@ -541,7 +560,12 @@ RetainedSweep run_sweep(const SecondOrderMrm& model,
     if (!weighted)
       for (const ActiveWeight& aw : active) ones_acc[aw.ti] += aw.w;
     const std::int64_t k_t0 = obs::now_ns();
-    panel_step(rows, scaled, impulse, n, j_lo, u, u_next, active, acc);
+    panel_step(rows,
+               StepArgs{.scaled = &scaled,
+                        .impulse = impulse_terms,
+                        .width = width,
+                        .active = active},
+               u, u_next, acc);
     if constexpr (check::kChecked)
       check::check_sweep_panel(u, k, j_lo, subtraction_free,
                                /*apply_majorant=*/!spec.impulse_recursion,

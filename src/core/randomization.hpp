@@ -19,14 +19,17 @@
 //    (P[state][moment]) and each step computes Q'U + R'U¯¹ + ½S'U¯² for all
 //    moment orders AND the Poisson-weighted accumulation for all time
 //    points in ONE pass over the CSR structure — every matrix entry is
-//    loaded once and multiplied against n+1 contiguous doubles
-//    (CsrMatrix::multiply_panel_rows), instead of re-streaming the
+//    loaded once and multiplied against the row's n+1 contiguous doubles,
+//    which sit in lane-pack registers (linalg/lanes.hpp) from the dot
+//    product to the accumulation, instead of re-streaming the
 //    row_ptr/col_idx/values arrays once per moment order
 //    (linalg::parallel_for; thread count via SOMRM_NUM_THREADS or
-//    linalg::set_num_threads). Outputs are row-owned and the per-element
-//    accumulation order is fixed, so results are bit-identical for every
-//    thread count and SIMD level; tests/test_golden_bits.cpp pins them.
-//    The same sweep core (core/sweep_core.hpp) runs the impulse solver.
+//    linalg::set_num_threads). One row kernel runs every sweep: plain,
+//    terminal-weighted and impulse, at every width. Outputs are row-owned
+//    and the per-element accumulation order is fixed, so results are
+//    bit-identical for every thread count and SIMD level;
+//    tests/test_golden_bits.cpp pins them. The same sweep core
+//    (core/sweep_core.hpp) runs the impulse solver.
 //  * Poisson weights come from per-time-point mode-centered weight tables
 //    (prob::poisson_weight_window, one lgamma per time point) and the
 //    Theorem-4 tail test is evaluated in log space, so qt ~ 40,000 (the

@@ -51,8 +51,8 @@ struct SweepSpec {
   std::span<const double> terminal_weights;
   /// The impulse recursion (core/impulse_randomization.hpp): every step
   /// adds A~_1..A~_n, given here in the model's state order (empty for
-  /// n = 0), runs the cache-blocked wide step, reports kernel
-  /// "impulse_panel", and skips the Lemma-2 majorant probe.
+  /// n = 0), inside the same fused row kernel as the plain step, reports
+  /// kernel "impulse_panel", and skips the Lemma-2 majorant probe.
   bool impulse_recursion = false;
   std::vector<linalg::CsrMatrix> impulse;
   TruncationRule rule = theorem4_rule();

@@ -1,12 +1,13 @@
 #include "linalg/csr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "core/invariants.hpp"
 #include "linalg/parallel.hpp"
-#include "linalg/simd.hpp"
 #include "obs/telemetry.hpp"
 
 namespace {
@@ -40,14 +41,6 @@ SpmvMetrics& spmv_metrics() {
 // a handful of non-zeros, so anything below a few thousand rows is cheaper
 // to run inline than to hand to the pool.
 constexpr std::size_t kMatvecGrain = 4096;
-
-// Panel columns processed per pass of the SpMM row kernel: the per-row
-// accumulators live in a stack array of this size so the compiler keeps
-// them in registers/vector lanes. Panels wider than this re-stream the
-// matrix once per chunk — still a 1/kPanelChunk reduction in structure
-// traffic, and the solver's widest panel (the 23-moment bounds pipeline,
-// width 24) fits in one chunk.
-constexpr std::size_t kPanelChunk = 32;
 
 // multiply_transposed switches from the serial scatter to the blocked
 // parallel path above this row count, and always partitions the rows into
@@ -258,145 +251,55 @@ void CsrMatrix::multiply_add(double alpha, std::span<const double> x,
   spmv_metrics().record(rows_, nnz(), 1, obs::now_ns() - t0);
 }
 
+namespace {
+// Rows [row_begin, row_end) of y = A x for row-major panels of width W
+// (W == 0: the runtime width w). Per element 0 + sum_k a_ik x(k, c) with k
+// ascending over row i's entries, in every instantiation. A compile-time
+// width keeps the row's sums in registers and unrolls every column loop;
+// at the solver's narrow widths a runtime-width inner loop costs more in
+// loop overhead than the dot product itself. Wider panels sum in y's row.
+template <std::size_t W>
+void panel_rows(const CsrMatrix& a, const double* x, double* y, std::size_t w,
+                std::size_t row_begin, std::size_t row_end) {
+  const std::size_t width = W == 0 ? w : W;
+  double sums[W == 0 ? 1 : W] = {};
+  for (std::size_t i = row_begin; i < row_end; ++i) {
+    double* yr = y + i * width;
+    double* s = W == 0 ? yr : sums;
+    for (std::size_t c = 0; c < width; ++c) s[c] = 0.0;
+    a.visit_row(i, [&](std::size_t col, double v) {
+      const double* xr = x + col * width;
+      for (std::size_t c = 0; c < width; ++c) s[c] += v * xr[c];
+    });
+    if constexpr (W > 0)
+      for (std::size_t c = 0; c < W; ++c) yr[c] = s[c];
+  }
+}
+
+template <std::size_t... W>
+constexpr auto panel_rows_table(std::index_sequence<W...>) {
+  return std::array{&panel_rows<W>...};
+}
+// panel_rows by width for widths 1..8, entry 0 for wider panels.
+constexpr auto kPanelRows = panel_rows_table(std::make_index_sequence<9>{});
+}  // namespace
+
 void CsrMatrix::multiply_panel(const Panel& x, Panel& y) const {
   if (x.rows() != cols_ || y.rows() != rows_ || x.width() != y.width())
     throw std::invalid_argument("CsrMatrix::multiply_panel: size mismatch");
   const std::size_t width = x.width();
   if (width == 0) return;
   const std::int64_t t0 = obs::now_ns();
+  const auto rows = kPanelRows[width < kPanelRows.size() ? width : 0];
   // Per-row cost scales with the width, so the grain shrinks accordingly.
   const std::size_t grain = std::max<std::size_t>(1, kMatvecGrain / width);
   parallel_for(
       rows_,
       [&](std::size_t row_begin, std::size_t row_end) {
-        multiply_panel_rows(x, y, row_begin, row_end, /*src_col=*/0,
-                            /*dst_col=*/0, width, /*accumulate=*/false);
+        rows(*this, x.data(), y.data(), width, row_begin, row_end);
       },
       grain);
   spmv_metrics().record(rows_, nnz(), width, obs::now_ns() - t0);
-}
-
-namespace {
-// Row kernel with a compile-time column count: the accumulator lives in CW
-// registers/vector lanes and every per-column loop is fully unrolled. The
-// solver's panels are narrow (n+1 for max_moment n, typically 2..6), and at
-// those widths a runtime-variable inner loop costs more in loop overhead
-// than the whole dot product — dispatching to a fixed-width instantiation
-// recovers it. The per-element arithmetic order (ascending k within each
-// row, ascending column) is identical in every instantiation and in the
-// generic fallback, so results are bit-identical regardless of which runs.
-template <std::size_t CW>
-void panel_rows_fixed(const std::vector<std::size_t>& row_ptr,
-                      const std::vector<std::size_t>& col_idx,
-                      const std::vector<double>& values, const double* xbase,
-                      std::size_t xw, double* ybase, std::size_t yw,
-                      std::size_t row_begin, std::size_t row_end,
-                      bool accumulate) {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    double s[CW];
-    for (std::size_t c = 0; c < CW; ++c) s[c] = 0.0;
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const double v = values[k];
-      const double* xr = xbase + col_idx[k] * xw;
-      for (std::size_t c = 0; c < CW; ++c) s[c] += v * xr[c];
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate) {
-      for (std::size_t c = 0; c < CW; ++c) yr[c] += s[c];
-    } else {
-      for (std::size_t c = 0; c < CW; ++c) yr[c] = s[c];
-    }
-  }
-}
-
-void panel_rows_generic(const std::vector<std::size_t>& row_ptr,
-                        const std::vector<std::size_t>& col_idx,
-                        const std::vector<double>& values, const double* xbase,
-                        std::size_t xw, double* ybase, std::size_t yw,
-                        std::size_t row_begin, std::size_t row_end,
-                        std::size_t cw, bool accumulate) {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    double s[kPanelChunk];
-    for (std::size_t c = 0; c < cw; ++c) s[c] = 0.0;
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const double v = values[k];
-      const double* xr = xbase + col_idx[k] * xw;
-      for (std::size_t c = 0; c < cw; ++c) s[c] += v * xr[c];
-    }
-    double* yr = ybase + i * yw;
-    if (accumulate) {
-      for (std::size_t c = 0; c < cw; ++c) yr[c] += s[c];
-    } else {
-      for (std::size_t c = 0; c < cw; ++c) yr[c] = s[c];
-    }
-  }
-}
-}  // namespace
-
-void CsrMatrix::multiply_panel_rows(const Panel& x, Panel& y,
-                                    std::size_t row_begin, std::size_t row_end,
-                                    std::size_t src_col, std::size_t dst_col,
-                                    std::size_t count, bool accumulate) const {
-  if (x.rows() != cols_ || y.rows() != rows_)
-    throw std::invalid_argument("CsrMatrix::multiply_panel_rows: bad panels");
-  if (row_end > rows_ || row_begin > row_end)
-    throw std::invalid_argument("CsrMatrix::multiply_panel_rows: bad rows");
-  if (src_col + count > x.width() || dst_col + count > y.width())
-    throw std::invalid_argument(
-        "CsrMatrix::multiply_panel_rows: column window out of range");
-  // Vector variants (x86-64 builds) lane the panel columns, so each
-  // column keeps the scalar kernels' accumulation chain — dispatching here
-  // trades only speed, never output bits (see linalg/simd.hpp).
-  const simd::PanelRowsFn vector_kernel = simd::panel_rows_kernel();
-  for (std::size_t c0 = 0; c0 < count; c0 += kPanelChunk) {
-    const std::size_t cw = std::min(kPanelChunk, count - c0);
-    const double* xbase = x.data() + src_col + c0;
-    double* ybase = y.data() + dst_col + c0;
-    const std::size_t xw = x.width(), yw = y.width();
-    if (vector_kernel != nullptr) {
-      vector_kernel(row_ptr_.data(), col_idx_.data(), values_.data(), xbase,
-                    xw, ybase, yw, row_begin, row_end, cw, accumulate);
-      continue;
-    }
-    switch (cw) {
-      case 1:
-        panel_rows_fixed<1>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      case 2:
-        panel_rows_fixed<2>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      case 3:
-        panel_rows_fixed<3>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      case 4:
-        panel_rows_fixed<4>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      case 5:
-        panel_rows_fixed<5>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      case 6:
-        panel_rows_fixed<6>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      case 7:
-        panel_rows_fixed<7>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      case 8:
-        panel_rows_fixed<8>(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                            row_begin, row_end, accumulate);
-        break;
-      default:
-        panel_rows_generic(row_ptr_, col_idx_, values_, xbase, xw, ybase, yw,
-                           row_begin, row_end, cw, accumulate);
-        break;
-    }
-  }
 }
 
 namespace {

@@ -127,21 +127,10 @@ class CsrMatrix {
   /// X and Y must not alias. Row-parallel; per element the accumulation
   /// order over the row's stored entries is exactly multiply()'s, so the
   /// result is bit-identical to width() independent SpMVs at every thread
-  /// count.
+  /// count. This is the scalar reference SpMM at every SIMD level: tests
+  /// use it as an oracle, and the sweep itself runs its own fused row
+  /// kernel (core/randomization.cpp).
   void multiply_panel(const Panel& x, Panel& y) const;
-
-  /// Row-range SpMM worker shared by multiply_panel and the fused solver
-  /// sweeps (which fold diagonal terms and accumulations into the same
-  /// parallel pass). For rows [row_begin, row_end) computes
-  ///   Y(i, dst_col + c)  op=  sum_k a_ik X(k, src_col + c),  c = 0..count-1
-  /// where op is assignment when @p accumulate is false and += when true.
-  /// Size/alias requirements as multiply_panel; the column windows must fit
-  /// inside the respective panel widths. Serial — the caller owns the
-  /// parallelism (callable from inside a parallel_for body).
-  void multiply_panel_rows(const Panel& x, Panel& y, std::size_t row_begin,
-                           std::size_t row_end, std::size_t src_col,
-                           std::size_t dst_col, std::size_t count,
-                           bool accumulate) const;
 
   /// Calls fn(col, value) for row i's stored entries in ascending k — the
   /// accumulation order every kernel uses. The sweep's fused row kernel

@@ -46,6 +46,11 @@ struct ScalarLanes {
   void add_shifted(double v, const double* x) {
     for (std::size_t c = M; c < L; ++c) s[c] += v * x[c - M];
   }
+  /// lane c += lane c of @p t for lanes c >= M; lanes below M are unchanged.
+  template <std::size_t M>
+  void add_from(const ScalarLanes& t) {
+    for (std::size_t c = M; c < L; ++c) s[c] += t.s[c];
+  }
   /// y[c] = lane c.
   void store(double* y) const {
     for (std::size_t c = 0; c < L; ++c) y[c] = s[c];
@@ -82,28 +87,45 @@ struct Avx2Lanes {
       hi = _mm256_add_pd(hi, _mm256_mul_pd(vv, load<kHi>(x + 4)));
   }
 
-  /// lane c += v * x[c - M] for lanes c >= M; lanes below M are unchanged.
-  /// lo's shifted operand is a lane permute of x[0..3] (x[-M..-1] may lie
-  /// outside the row, so it is never loaded) and the sum is blended back
-  /// into lanes >= M only; hi's operand is a plain load of x[4 - M ..].
+  /// lane c += v * x[c - M] for lanes c >= M (M < 8); lanes below M are
+  /// unchanged. A register whose lanes start below M takes its operand as a
+  /// lane permute of a load from x itself (x[-M..-1] may lie before the
+  /// row, so it is never loaded) and blends the sum back into lanes >= M
+  /// only; a register wholly at or above M loads its operand straight from
+  /// x + (first lane - M).
   template <std::size_t M>
   __attribute__((target("avx2"))) void add_shifted(double v,
                                                    const double* x) {
-    static_assert(M <= 2, "shifts by 0, 1 or 2 lanes");
+    static_assert(M < 8, "shifts by 0..7 lanes");
     if constexpr (M < L) {
       const __m256d vv = _mm256_set1_pd(v);
-      if constexpr (M == 0) {
+      if constexpr (M == 0)
         lo = _mm256_add_pd(lo, _mm256_mul_pd(vv, load<kLo>(x)));
-      } else {
-        // Lanes (x0, x0, x1, x2) for M = 1, (x0, x0, x0, x1) for M = 2.
-        constexpr int kPermute = M == 1 ? 0x90 : 0x40;
-        constexpr int kLanesFromM = M == 1 ? 0xE : 0xC;
-        const __m256d shifted = _mm256_permute4x64_pd(load<kLo>(x), kPermute);
-        lo = _mm256_blend_pd(lo, _mm256_add_pd(lo, _mm256_mul_pd(vv, shifted)),
-                             kLanesFromM);
-      }
-      if constexpr (kHi > 0)
+      else if constexpr (M < 4)
+        lo = from_lane<M>(lo, _mm256_add_pd(
+                                  lo, _mm256_mul_pd(vv, shift<M>(load<kLo>(x)))));
+      if constexpr (kHi > 0 && M <= 4)
         hi = _mm256_add_pd(hi, _mm256_mul_pd(vv, load<kHi>(x + 4 - M)));
+      else if constexpr (kHi > 0)
+        hi = from_lane<M - 4>(
+            hi, _mm256_add_pd(
+                    hi, _mm256_mul_pd(vv, shift<M - 4>(load<L - M>(x)))));
+    }
+  }
+
+  /// lane c += lane c of @p t for lanes c >= M; lanes below M are unchanged
+  /// (a blend, so even an added +0 cannot turn a -0 below M into +0).
+  template <std::size_t M>
+  __attribute__((target("avx2"))) void add_from(const Avx2Lanes& t) {
+    if constexpr (M < L) {
+      if constexpr (M == 0)
+        lo = _mm256_add_pd(lo, t.lo);
+      else if constexpr (M < 4)
+        lo = from_lane<M>(lo, _mm256_add_pd(lo, t.lo));
+      if constexpr (kHi > 0 && M <= 4)
+        hi = _mm256_add_pd(hi, t.hi);
+      else if constexpr (kHi > 0)
+        hi = from_lane<M - 4>(hi, _mm256_add_pd(hi, t.hi));
     }
   }
 
@@ -142,6 +164,19 @@ struct Avx2Lanes {
       return _mm256_zextpd128_pd256(_mm_load_sd(x));
     else
       return _mm256_maskload_pd(x, mask<N>());
+  }
+  /// Lane c holds lane c - S of @p v for c >= S, S in 1..3 (lanes below S
+  /// hold lane 0 and are blended away by the caller).
+  template <std::size_t S>
+  __attribute__((target("avx2"))) static __m256d shift(__m256d v) {
+    static_assert(S >= 1 && S <= 3, "a shift within one register");
+    return _mm256_permute4x64_pd(v, (S == 1 ? 1 : 0) << 4 | (3 - S) << 6);
+  }
+  /// Lanes >= S of @p sum, lanes below S of @p keep.
+  template <std::size_t S>
+  __attribute__((target("avx2"))) static __m256d from_lane(__m256d keep,
+                                                           __m256d sum) {
+    return _mm256_blend_pd(keep, sum, (0xF << S) & 0xF);
   }
   template <std::size_t N>
   __attribute__((target("avx2"))) static void store_lanes(double* y,

@@ -13,13 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/impulse_randomization.hpp"
 #include "core/moment_utils.hpp"
 #include "ctmc/transient.hpp"
 #include "linalg/parallel.hpp"
@@ -565,17 +568,14 @@ TEST(RandomizationTest, TerminalWeightedFillsErrorBound) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD levels: the sweep's step kernel at the AVX2 level against the scalar
-// kernel, bit for bit, across the sweep's branches — widths on both sides
-// of the fused/wide boundary (n = 0..9), plain and terminal-weighted, shift
-// and centering, q = 0, banded and relabelled state orders (the sweep
-// reorders the latter by RCM), thread splits and the last rows of tiny
-// models.
+// SIMD levels and threads: the sweep's row kernel at the AVX2 level and at
+// 4 threads against the scalar kernel at 1 thread, bit for bit, across the
+// sweep's branches — every width 1..34 (the compile-time widths 1..8 and
+// the 8-lane blocks beyond, with every tail), plain, terminal-weighted and
+// impulse sweeps, shift and centering, q = 0, banded and relabelled state
+// orders (the sweep reorders the latter by RCM), thread splits and the last
+// rows of tiny models.
 // ---------------------------------------------------------------------------
-
-bool avx2_supported() {
-  return linalg::simd::highest_supported() == linalg::simd::Level::kAvx2;
-}
 
 /// Birth-death chain with bounded rates (q stays ~7 at any size): forward
 /// and backward transitions, drifts of +-[0.5, 2] (negative on every third
@@ -612,12 +612,53 @@ class RandomizationSimdTest : public ::testing::Test {
   }
 };
 
+/// Impulses on the transitions out of every state i with i % 4 != 0 (so
+/// every A~_l has empty rows), with mean @p mean: a zero mean leaves every
+/// odd A~_l without a stored entry.
+SecondOrderImpulseMrm lane_impulse_model(SecondOrderMrm base, double mean) {
+  const linalg::CsrMatrix& q = base.generator().matrix();
+  linalg::CsrBuilder means(q.rows(), q.cols()), vars(q.rows(), q.cols());
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    if (i % 4 == 0) continue;
+    q.visit_row(i, [&](std::size_t col, double v) {
+      if (col == i || v <= 0.0) return;
+      means.add(i, col, mean * (1.0 + 0.1 * static_cast<double>(col % 3)));
+      vars.add(i, col, 0.15);
+    });
+  }
+  return SecondOrderImpulseMrm(std::move(base),
+                               std::move(means).build(/*keep zeros*/ true),
+                               std::move(vars).build());
+}
+
+/// The bit patterns of every output double of a solve.
+std::vector<std::uint64_t> result_bits(
+    const std::vector<MomentResult>& results) {
+  std::vector<std::uint64_t> out;
+  const auto add = [&](double x) { out.push_back(std::bit_cast<std::uint64_t>(x)); };
+  for (const MomentResult& r : results) {
+    add(r.error_bound);
+    out.push_back(r.truncation_point);
+    for (double x : r.weighted) add(x);
+    for (const Vec& col : r.per_state)
+      for (double x : col) add(x);
+  }
+  return out;
+}
+
+enum SweepKind { kPlainSweep, kWeightedSweep, kImpulseSweep };
+
+const char* sweep_kind_name(int kind) {
+  constexpr const char* kNames[] = {"_plain", "_weighted", "_impulse"};
+  return kNames[kind];
+}
+
 class RandomizationSimdGridTest
     : public RandomizationSimdTest,
-      public ::testing::WithParamInterface<std::tuple<std::size_t, bool>> {};
+      public ::testing::WithParamInterface<std::tuple<std::size_t, int>> {};
 
 TEST_P(RandomizationSimdGridTest, VectorLevelsBitIdenticalToScalar) {
-  const auto [n, weighted] = GetParam();
+  const auto [n, kind] = GetParam();
   const std::vector<double> few{0.1, 0.4, 1.0};
   // More active time points than lanes.
   const std::vector<double> many{0.05, 0.1,  0.15, 0.2,  0.25, 0.3,
@@ -625,63 +666,95 @@ TEST_P(RandomizationSimdGridTest, VectorLevelsBitIdenticalToScalar) {
   struct Case {
     std::size_t states;
     bool negative;
-    std::vector<std::size_t> threads;
     std::vector<const std::vector<double>*> grids;
   };
-  // Tiny models cover q = 0 (one state) and the last rows at one thread;
-  // 2500 states splits into uneven parallel ranges at 2 and 4 threads.
-  const std::vector<Case> cases{{1, false, {1}, {&few, &many}},
-                                {2, false, {1}, {&few, &many}},
-                                {31, false, {1}, {&few, &many}},
-                                {31, true, {1}, {&few, &many}},
-                                {2500, true, {1, 2, 4}, {&many}}};
+  // Tiny models cover q = 0 (one state) and the last rows in one range;
+  // 2500 states splits into uneven parallel ranges at 4 threads.
+  const std::vector<Case> cases{{1, false, {&few, &many}},
+                                {2, false, {&few, &many}},
+                                {31, false, {&few, &many}},
+                                {31, true, {&few, &many}},
+                                {2500, true, {&many}}};
+  // The reference runs the scalar kernel at 1 thread; every other
+  // (level, threads) pair must reproduce it. set_level clamps, so kAvx2
+  // runs the scalar kernel on a host without AVX2.
+  const auto for_each_run = [](const auto& fn) {
+    for (const linalg::simd::Level level :
+         {linalg::simd::Level::kScalar, linalg::simd::Level::kAvx2})
+      for (const std::size_t threads : {1u, 4u}) {
+        if (level == linalg::simd::Level::kScalar && threads == 1) continue;
+        linalg::simd::set_level(level);
+        linalg::set_num_threads(threads);
+        fn(std::string(" level ") + linalg::simd::level_name(level) +
+           " threads " + std::to_string(threads));
+      }
+  };
   for (const Case& c : cases)
     for (const bool shuffled : {false, true}) {
-      const RandomizationMomentSolver solver(
-          lane_model(c.states, c.negative, shuffled));
+      const SecondOrderMrm model = lane_model(c.states, c.negative, shuffled);
+      const RandomizationMomentSolver solver(model);
+      const ImpulseMomentSolver impulse_solver(
+          lane_impulse_model(model, c.negative ? -0.3 : 0.0));
       // Two states relabelled are still tridiagonal: nothing to narrow.
       const char* reorder = shuffled && c.states > 2 ? "rcm" : "none";
       Vec w;
-      if (weighted) {
+      if (kind == kWeightedSweep) {
         w.resize(c.states);
         for (std::size_t i = 0; i < c.states; ++i)
           w[i] = 1.0 + 0.25 * static_cast<double>(i % 3);
       }
       for (const double center : {0.0, 0.37})
-        for (const std::size_t threads : c.threads)
-          for (const std::vector<double>* times : c.grids) {
-            MomentSolverOptions opts;
-            opts.max_moment = n;
-            opts.center = center;
-            linalg::set_num_threads(threads);
-            const std::string where =
-                "states " + std::to_string(c.states) + " center " +
-                std::to_string(center) + " shuffled " +
-                std::to_string(shuffled) + " threads " +
-                std::to_string(threads) + " times " +
-                std::to_string(times->size());
-            linalg::simd::set_level(linalg::simd::Level::kScalar);
-            const RetainedSweep ref = solver.sweep_retained(*times, opts, w);
-            EXPECT_EQ(ref.stats.simd, ref.degenerate ? "none" : "scalar")
+        for (const std::vector<double>* times : c.grids) {
+          MomentSolverOptions opts;
+          opts.max_moment = n;
+          opts.center = center;
+          const std::string where =
+              "states " + std::to_string(c.states) + " center " +
+              std::to_string(center) + " shuffled " +
+              std::to_string(shuffled) + " times " +
+              std::to_string(times->size());
+          linalg::simd::set_level(linalg::simd::Level::kScalar);
+          linalg::set_num_threads(1);
+          if (kind == kImpulseSweep) {
+            const auto ref = impulse_solver.solve_multi(*times, opts);
+            const obs::SolverStats& stats = ref.front().stats;
+            EXPECT_EQ(stats.simd, stats.kernel == "degenerate" ? "none"
+                                                               : "scalar")
                 << where;
-            EXPECT_EQ(ref.stats.reorder, reorder) << where;
-            if (!avx2_supported()) continue;
-            linalg::simd::set_level(linalg::simd::Level::kAvx2);
-            const RetainedSweep got = solver.sweep_retained(*times, opts, w);
-            EXPECT_TRUE(bit_identical(ref, got)) << where;
-            EXPECT_EQ(got.stats.simd, got.degenerate ? "none" : "avx2")
-                << where;
+            EXPECT_EQ(stats.reorder, reorder) << where;
+            for_each_run([&](const std::string& run) {
+              const auto got = impulse_solver.solve_multi(*times, opts);
+              EXPECT_TRUE(result_bits(got) == result_bits(ref))
+                  << where << run;
+            });
+            continue;
           }
+          const RetainedSweep ref = solver.sweep_retained(*times, opts, w);
+          EXPECT_EQ(ref.stats.simd, ref.degenerate ? "none" : "scalar")
+              << where;
+          EXPECT_EQ(ref.stats.reorder, reorder) << where;
+          for_each_run([&](const std::string& run) {
+            const RetainedSweep got = solver.sweep_retained(*times, opts, w);
+            EXPECT_TRUE(bit_identical(ref, got)) << where << run;
+            EXPECT_EQ(got.stats.simd,
+                      got.degenerate
+                          ? "none"
+                          : linalg::simd::level_name(
+                                linalg::simd::active_level()))
+                << where << run;
+          });
+        }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     OrdersAndSweeps, RandomizationSimdGridTest,
-    ::testing::Combine(::testing::Range<std::size_t>(0, 10),
-                       ::testing::Bool()),
+    ::testing::Combine(::testing::Range<std::size_t>(0, 34),
+                       ::testing::Values(kPlainSweep, kWeightedSweep,
+                                         kImpulseSweep)),
     [](const auto& p) {
       return "n" + std::to_string(std::get<0>(p.param)) +
-             (std::get<1>(p.param) ? "_weighted" : "_plain");
+             sweep_kind_name(std::get<1>(p.param));
     });
 
 TEST_F(RandomizationSimdTest, PlainSweepOnesColumnIsOneValuePerTimePoint) {

@@ -1,67 +1,40 @@
-// Bit-identity tests for the SIMD panel row kernels (linalg/simd.hpp).
+// Contract tests for the SIMD dispatch level (linalg/simd.hpp) and the lane
+// packs the sweep's row kernel is written against (linalg/lanes.hpp).
 //
-// The SIMD contract: every compiled-in vector level produces output
-// bit-identical to the scalar reference — per panel column the vector
-// kernels execute the scalar multiply-then-add chain in the same order, so
-// EXPECT_EQ on doubles is the correct assertion, not EXPECT_NEAR. Every
-// x86-64 build compiles the AVX2 level in, so the level loop runs the real
-// matrix of (level × width × thread count) comparisons wherever the CPU
-// has AVX2; elsewhere it degrades to a scalar self-check.
+// The SIMD contract: Avx2Lanes executes every lane's scalar multiply-then-
+// add chain in ScalarLanes' order, so the two agree bit for bit — EXPECT_EQ
+// on bit patterns, not EXPECT_NEAR. The impulse stage of the row kernel
+// leans on two pack operations beyond the plain product: the shifted
+// product add_shifted<M> (lane c += v * x[c - M] for c >= M) and the masked
+// pack add add_from<M>. Both must agree across the packs for every lane
+// count L in 1..8 and shift M in 0..L-1, must leave lanes below M with
+// their exact bits (-0.0, infinities and NaN payloads included), and must
+// read no double outside x[0..L-1] — each source row here is its own heap
+// allocation of exactly L doubles, so the sanitizer legs flag a stray load.
+// Off x86-64, or on a CPU without AVX2, the AVX2 side is skipped and the
+// scalar pack is still checked against the plain expressions.
 
 #include "linalg/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "linalg/csr.hpp"
-#include "linalg/panel.hpp"
-#include "linalg/parallel.hpp"
+#include "linalg/lanes.hpp"
 
 namespace somrm::linalg {
 namespace {
 
-CsrMatrix lcg_matrix(std::size_t rows, std::size_t cols,
-                     std::size_t nnz_per_row) {
-  CsrBuilder b(rows, cols);
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t k = 0; k < nnz_per_row; ++k) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      const std::size_t j = (state >> 33) % cols;
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      b.add(i, j, (static_cast<double>((state >> 33) % 1999) - 999.0) / 311.0);
-    }
-  return std::move(b).build();
-}
-
-Panel lcg_panel(std::size_t rows, std::size_t width) {
-  Panel p(rows, width);
-  std::uint64_t state = 0x2545f4914f6cdd1dull;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    p.data()[i] = (static_cast<double>((state >> 33) % 4001) - 2000.0) / 919.0;
-  }
-  return p;
-}
-
-std::vector<simd::Level> compiled_levels() {
-  std::vector<simd::Level> levels{simd::Level::kScalar};
-  const int top = static_cast<int>(simd::highest_supported());
-  if (top >= static_cast<int>(simd::Level::kAvx2))
-    levels.push_back(simd::Level::kAvx2);
-  return levels;
-}
-
-/// Restores the auto dispatch level and the default thread count however a
-/// test exits, so level/thread overrides cannot leak across tests.
+/// Restores the auto dispatch level however a test exits.
 class SimdPanelTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    simd::set_level(simd::highest_supported());
-    set_num_threads(0);
-  }
+  void TearDown() override { simd::set_level(simd::highest_supported()); }
 };
 
 TEST_F(SimdPanelTest, LevelClampsToSupportAndRoundTrips) {
@@ -70,8 +43,6 @@ TEST_F(SimdPanelTest, LevelClampsToSupportAndRoundTrips) {
       << "AVX2 is the top level: requesting it clamps to what the CPU has";
   simd::set_level(simd::Level::kScalar);
   EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
-  EXPECT_EQ(simd::panel_rows_kernel(), nullptr)
-      << "scalar level must fall through to the reference kernels";
 #if SOMRM_SIMD_X86
   const simd::Level cpu = __builtin_cpu_supports("avx2")
                               ? simd::Level::kAvx2
@@ -87,98 +58,121 @@ TEST_F(SimdPanelTest, LevelClampsToSupportAndRoundTrips) {
   EXPECT_STREQ(simd::level_name(simd::Level::kAvx2), "avx2");
 }
 
-TEST_F(SimdPanelTest, PanelProductBitIdenticalAcrossLevelsWidthsThreads) {
-  const std::size_t n = 3000;
-  const CsrMatrix m = lcg_matrix(n, n, 7);
-  // Widths 1..8 hit every fixed-width kernel (and every AVX2 tail mask); 24 is the widest solver panel (bounds pipeline); 33 exceeds the
-  // 32-column chunk, forcing the chunk loop plus a width-1 tail pass.
-  const std::size_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 24, 33};
-  for (std::size_t width : widths) {
-    const Panel x = lcg_panel(n, width);
-    simd::set_level(simd::Level::kScalar);
-    set_num_threads(1);
-    Panel reference(n, width);
-    m.multiply_panel(x, reference);
-    for (simd::Level level : compiled_levels()) {
-      simd::set_level(level);
-      for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-        set_num_threads(threads);
-        Panel y(n, width);
-        m.multiply_panel(x, y);
-        for (std::size_t i = 0; i < y.size(); ++i)
-          ASSERT_EQ(y.data()[i], reference.data()[i])
-              << "width " << width << " level " << simd::level_name(level)
-              << " threads " << threads << " flat index " << i;
-      }
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Values a lane below the shift must keep bit for bit.
+double special(std::size_t c) {
+  const double values[] = {-0.0, std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::bit_cast<double>(0x7ff80000deadbeefull)};
+  return values[c % 4];
+}
+
+/// The inputs of one (L, M) case: the pack's seed (specials below M), a
+/// second pack's lanes for add_from (a NaN payload below M, which must not
+/// leak), the multiplier and the source row.
+template <std::size_t L, std::size_t M>
+struct Inputs {
+  std::array<double, 8> seed{};
+  std::array<double, 8> other{};
+  double v = 0.0;
+  std::vector<double> x;  // exactly L doubles, its own allocation
+
+  explicit Inputs(double multiplier) : v(multiplier), x(L) {
+    for (std::size_t c = 0; c < 8; ++c) {
+      seed[c] = c < M ? special(c) : 0.375 * static_cast<double>(c) - 1.0;
+      other[c] = c < M ? std::bit_cast<double>(0x7ff8000000c0ffeeull)
+                       : -0.625 + 0.25 * static_cast<double>(c);
     }
+    for (std::size_t c = 0; c < L; ++c)
+      x[c] = 1.0 / (1.0 + static_cast<double>(c)) - 0.3;
+  }
+};
+
+/// Lanes of a pack after add_shifted<M> and, separately, after add_from<M>.
+template <std::size_t L>
+struct Outputs {
+  std::array<double, L> shifted{};
+  std::array<double, L> added{};
+};
+
+template <std::size_t L, std::size_t M>
+Outputs<L> run_scalar(const Inputs<L, M>& in) {
+  Outputs<L> out;
+  ScalarLanes<L> p, q, t;
+  for (std::size_t c = 0; c < L; ++c) {
+    p.s[c] = q.s[c] = in.seed[c];
+    t.s[c] = in.other[c];
+  }
+  p.template add_shifted<M>(in.v, in.x.data());
+  q.template add_from<M>(t);
+  p.store(out.shifted.data());
+  q.store(out.added.data());
+  return out;
+}
+
+#if SOMRM_SIMD_X86
+template <std::size_t L, std::size_t M>
+__attribute__((target("avx2"), flatten)) Outputs<L> run_avx2(
+    const Inputs<L, M>& in) {
+  Outputs<L> out;
+  Avx2Lanes<L> p, q, t;
+  p.lo = q.lo = _mm256_loadu_pd(in.seed.data());
+  p.hi = q.hi = _mm256_loadu_pd(in.seed.data() + 4);
+  t.lo = _mm256_loadu_pd(in.other.data());
+  t.hi = _mm256_loadu_pd(in.other.data() + 4);
+  p.template add_shifted<M>(in.v, in.x.data());
+  q.template add_from<M>(t);
+  p.store(out.shifted.data());
+  q.store(out.added.data());
+  return out;
+}
+
+bool avx2_supported() {
+  return simd::highest_supported() == simd::Level::kAvx2;
+}
+#endif
+
+/// Checks one (L, M) case at several multipliers.
+template <std::size_t L, std::size_t M>
+void check_case() {
+  for (const double v : {1.5, -0.75, 0.0, -0.0}) {
+    const Inputs<L, M> in(v);
+    const std::string where = "L " + std::to_string(L) + " M " +
+                              std::to_string(M) + " v " + std::to_string(v);
+    const Outputs<L> ref = run_scalar(in);
+    for (std::size_t c = 0; c < L; ++c) {
+      // The scalar pack against the plain expressions.
+      const double shifted = c < M ? in.seed[c] : in.seed[c] + v * in.x[c - M];
+      const double added = c < M ? in.seed[c] : in.seed[c] + in.other[c];
+      EXPECT_EQ(bits(ref.shifted[c]), bits(shifted)) << where << " lane " << c;
+      EXPECT_EQ(bits(ref.added[c]), bits(added)) << where << " lane " << c;
+    }
+#if SOMRM_SIMD_X86
+    if (!avx2_supported()) continue;
+    const Outputs<L> got = run_avx2(in);
+    for (std::size_t c = 0; c < L; ++c) {
+      EXPECT_EQ(bits(got.shifted[c]), bits(ref.shifted[c]))
+          << where << " add_shifted lane " << c;
+      EXPECT_EQ(bits(got.added[c]), bits(ref.added[c]))
+          << where << " add_from lane " << c;
+    }
+#endif
   }
 }
 
-TEST_F(SimdPanelTest, WindowedAccumulateBitIdenticalAndOutsideUntouched) {
-  // multiply_panel_rows with a column window (the fused sweep's shape):
-  // src/dst offsets differ, accumulate=true, and only a row subrange runs.
-  // The vector kernels' masked stores must leave everything outside the
-  // window — columns below dst_col, past dst_col+count, rows outside the
-  // range — exactly as it was.
-  const std::size_t n = 1024;
-  const CsrMatrix m = lcg_matrix(n, n, 5);
-  const Panel x = lcg_panel(n, 10);
-  const Panel seed = lcg_panel(n, 12);
-  const std::size_t row_begin = 100, row_end = 900;
-  const std::size_t src_col = 1, dst_col = 2, count = 7;
-
-  simd::set_level(simd::Level::kScalar);
-  Panel reference = seed;
-  m.multiply_panel_rows(x, reference, row_begin, row_end, src_col, dst_col,
-                        count, /*accumulate=*/true);
-
-  for (simd::Level level : compiled_levels()) {
-    simd::set_level(level);
-    Panel y = seed;
-    m.multiply_panel_rows(x, y, row_begin, row_end, src_col, dst_col, count,
-                          /*accumulate=*/true);
-    for (std::size_t i = 0; i < y.size(); ++i)
-      ASSERT_EQ(y.data()[i], reference.data()[i])
-          << "level " << simd::level_name(level) << " flat index " << i;
-    // Independently confirm the untouched region against the seed (the
-    // scalar reference could in principle share a bug with the vector
-    // kernels; the seed cannot).
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < 12; ++c) {
-        const bool inside = r >= row_begin && r < row_end && c >= dst_col &&
-                            c < dst_col + count;
-        if (!inside) {
-          ASSERT_EQ(y(r, c), seed(r, c))
-              << "level " << simd::level_name(level) << " row " << r
-              << " col " << c;
-        }
-      }
-  }
+template <std::size_t L, std::size_t... M>
+void check_shifts(std::index_sequence<M...>) {
+  (check_case<L, M>(), ...);
 }
 
-TEST_F(SimdPanelTest, EmptyRowsAndEmptyRangeAreHandled) {
-  // Rows with no stored entries must still write zeros (assign mode), and a
-  // zero-length row range must be a no-op, at every compiled level.
-  CsrBuilder b(6, 6);
-  b.add(0, 1, 2.0);
-  b.add(3, 0, -1.5);
-  b.add(3, 5, 4.0);
-  const CsrMatrix m = std::move(b).build();
-  const Panel x = lcg_panel(6, 3);
-  for (simd::Level level : compiled_levels()) {
-    simd::set_level(level);
-    Panel y(6, 3);
-    for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = 99.0;
-    m.multiply_panel_rows(x, y, 0, 6, 0, 0, 3, /*accumulate=*/false);
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(y(1, c), 0.0) << simd::level_name(level);
-      EXPECT_EQ(y(5, c), 0.0) << simd::level_name(level);
-    }
-    Panel z = y;
-    m.multiply_panel_rows(x, z, 4, 4, 0, 0, 3, /*accumulate=*/true);
-    for (std::size_t i = 0; i < z.size(); ++i)
-      EXPECT_EQ(z.data()[i], y.data()[i]) << simd::level_name(level);
-  }
+template <std::size_t... I>
+void check_lane_counts(std::index_sequence<I...>) {
+  (check_shifts<I + 1>(std::make_index_sequence<I + 1>{}), ...);
+}
+
+TEST_F(SimdPanelTest, ShiftedProductAndMaskedAddBitIdenticalAcrossPacks) {
+  check_lane_counts(std::make_index_sequence<8>{});
 }
 
 }  // namespace

@@ -86,7 +86,8 @@ from pathlib import Path
 TOOL_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TOOL_DIR))
 
-from lint_determinism import ALLOW_FILE_RE, ALLOW_RE  # noqa: E402
+from lint_determinism import (  # noqa: E402
+    ALLOW_FILE_RE, ALLOW_RE, FAST_MATH_FLAGS, FAST_MATH_PRAGMA_RE)
 from run_clang_tidy_cached import project_includes  # noqa: E402
 
 RULES = (
@@ -105,15 +106,10 @@ UNORDERED_TYPES = ("std::unordered_map<", "std::unordered_set<",
                    "std::unordered_multimap<", "std::unordered_multiset<")
 ENTROPY_FUNCS = {"rand", "srand", "time"}
 FMA_FUNCS = {"fma", "fmaf", "fmal"}
-FAST_MATH_FLAGS = ("-ffast-math", "-funsafe-math-optimizations",
-                   "-fassociative-math", "-freciprocal-math", "-Ofast")
 
 FP_CONTRACT_ON_RE = re.compile(
     r"#\s*pragma\s+STDC\s+FP_CONTRACT\s+(ON|DEFAULT)\b"
     r"|#\s*pragma\s+clang\s+fp\s+contract\s*\(\s*(fast|on)\s*\)")
-FAST_MATH_PRAGMA_RE = re.compile(
-    r"#\s*pragma\s+GCC\s+optimize.*fast-math"
-    r"|__attribute__\s*\(\s*\(\s*optimize\s*\(.*fast-math")
 BUILTIN_FMA_RE = re.compile(r"\b__builtin_fmaf?l?\s*\(")
 
 

@@ -35,13 +35,22 @@ time instead of waiting for a flaky numerical diff:
   no-fp-contract           `#pragma STDC FP_CONTRACT ON/DEFAULT` or
                            `#pragma clang fp contract(fast|on)` — re-enables
                            the contraction the build globally forbids.
+  no-fast-math             `#pragma GCC optimize` / optimize attributes
+                           naming fast-math, and, given
+                           --compile-commands, -ffast-math /
+                           -funsafe-math-optimizations /
+                           -fassociative-math / -freciprocal-math / -Ofast
+                           in the compile command of a source under the
+                           lint root — value reassociation breaks the
+                           fixed-order reductions and the lane kernels'
+                           bit identity.
 
 Relationship to tools/ast_lint.py: the first four rules are re-grounded on
 the clang AST there (canonical types see through aliases, diagnostics
 follow macro expansions, capture analysis resolves the declaration a `+=`
-LHS references); the two bit-identity rules are lexical in both lints and
-carry the same names, and the AST lint adds no-fast-math, which needs the
-compile commands. This regex version is deliberately kept as the
+LHS references); the three bit-identity rules are lexical (or read the
+compile commands) in both lints, share their patterns and carry the same
+names. This regex version is deliberately kept as the
 zero-dependency fallback that runs in environments without libclang;
 `ast_lint.py --cross-validate` asserts the two agree — every finding here
 must be reproduced by an AST finding at the same site or covered by one
@@ -62,7 +71,9 @@ Exit codes: 0 clean, 1 violations found, 2 usage / IO error.
 from __future__ import annotations
 
 import argparse
+import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -73,6 +84,7 @@ RULES = (
     "no-shared-capture",
     "no-std-fma",
     "no-fp-contract",
+    "no-fast-math",
 )
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
@@ -89,6 +101,12 @@ STD_FMA_RE = re.compile(r"\b(?:std::fma|__builtin_fma)f?l?\s*\(")
 FP_CONTRACT_RE = re.compile(
     r"#\s*pragma\s+STDC\s+FP_CONTRACT\s+(?:ON|DEFAULT)\b"
     r"|#\s*pragma\s+clang\s+fp\s+contract\s*\(\s*(?:fast|on)\s*\)")
+# Shared with tools/ast_lint.py, which imports both.
+FAST_MATH_FLAGS = ("-ffast-math", "-funsafe-math-optimizations",
+                   "-fassociative-math", "-freciprocal-math", "-Ofast")
+FAST_MATH_PRAGMA_RE = re.compile(
+    r"^\s*#\s*pragma\s+GCC\s+optimize.*fast-math"
+    r"|__attribute__\s*\(\s*\(\s*optimize\s*\(.*fast-math")
 PARALLEL_FOR_RE = re.compile(r"\bparallel_for(?:_reduce)?\s*\(")
 COMPOUND_ADD_RE = re.compile(r"(?<![-+<>=!*/&|^%])\b([A-Za-z_]\w*)\s*\+=")
 LOCAL_DECL_RE = re.compile(
@@ -101,6 +119,14 @@ def strip_noise(line: str) -> str:
     only fire on code. (Block comments are handled by the caller.)"""
     line = STRING_RE.sub('""', line)
     return LINE_COMMENT_RE.sub("", line)
+
+
+def strip_comment(line: str) -> str:
+    """Drop only the trailing // comment, keeping string literals (the
+    fast-math pragma and attribute name their options in strings)."""
+    masked = STRING_RE.sub(lambda m: "_" * len(m.group(0)), line)
+    m = LINE_COMMENT_RE.search(masked)
+    return line[:m.start()] if m else line
 
 
 class Violation:
@@ -200,11 +226,18 @@ def lint_file(path: Path, src_root: Path) -> list[Violation]:
             "in linalg (sum/dot/parallel_reduce), not std::accumulate/"
             "std::reduce"))
     line_rules = [r for r in line_rules if r[0] not in file_waived]
+    check_fast_math = "no-fast-math" not in file_waived
     for idx, raw in enumerate(lines, start=1):
         code = strip_noise(raw)
         for rule, regex, message in line_rules:
             if regex.search(code) and not allowed(raw, rule):
                 out.append(Violation(rel, idx, rule, message))
+        if (check_fast_math and FAST_MATH_PRAGMA_RE.search(strip_comment(raw))
+                and not allowed(raw, "no-fast-math")):
+            out.append(Violation(
+                rel, idx, "no-fast-math",
+                "fast-math re-enabled by pragma/attribute: value "
+                "reassociation breaks the fixed-order reductions"))
 
     for start, end in find_parallel_bodies(lines):
         if "no-shared-capture" in file_waived:
@@ -228,11 +261,43 @@ def lint_file(path: Path, src_root: Path) -> list[Violation]:
     return out
 
 
+def lint_compile_commands(db_path: Path, src_root: Path) -> list[Violation]:
+    """no-fast-math on the flags of every compile_commands.json entry whose
+    source lies under @p src_root, reported at line 1 of the source (the
+    site tools/ast_lint.py reports the same finding at)."""
+    try:
+        entries = json.loads(db_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        print(f"lint_determinism: cannot read {db_path}: {err}",
+              file=sys.stderr)
+        sys.exit(2)
+    root = src_root.resolve()
+    out: list[Violation] = []
+    for entry in entries:
+        source = Path(entry.get("directory", ".")) / entry["file"]
+        try:
+            rel = Path(root.name) / source.resolve().relative_to(root)
+        except ValueError:
+            continue
+        flags = (entry["arguments"] if "arguments" in entry
+                 else shlex.split(entry.get("command", "")))
+        for flag in flags:
+            if flag in FAST_MATH_FLAGS:
+                out.append(Violation(
+                    rel, 1, "no-fast-math",
+                    f"compiled with {flag}: value reassociation breaks the "
+                    "fixed-order reductions"))
+    return out
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "root", nargs="?", default=None,
         help="source tree to lint (default: <repo>/src next to this script)")
+    parser.add_argument(
+        "--compile-commands", type=Path, default=None,
+        help="compile_commands.json whose flags no-fast-math checks")
     args = parser.parse_args(argv)
 
     src_root = Path(args.root) if args.root else (
@@ -253,6 +318,9 @@ def main(argv: list[str]) -> int:
     violations: list[Violation] = []
     for path in files:
         violations.extend(lint_file(path, src_root))
+    if args.compile_commands is not None:
+        violations.extend(lint_compile_commands(args.compile_commands,
+                                                src_root))
 
     for v in violations:
         print(v)

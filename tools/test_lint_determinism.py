@@ -9,6 +9,7 @@ exit-code contract the CI job relies on.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import tempfile
@@ -19,9 +20,9 @@ TOOLS = Path(__file__).resolve().parent
 LINT = TOOLS / "lint_determinism.py"
 
 
-def run_lint(root: Path) -> subprocess.CompletedProcess:
+def run_lint(root: Path, *extra: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(LINT), str(root)],
+        [sys.executable, str(LINT), str(root), *extra],
         capture_output=True, text=True)
 
 
@@ -178,6 +179,73 @@ class LintDeterminismTest(unittest.TestCase):
             "double c = __builtin_fma(x, y, z);\n"))
         proc = run_lint(self.root)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_fast_math_pragma_and_attribute_flagged(self) -> None:
+        self.write("linalg/k.cpp", (
+            '#pragma GCC optimize("fast-math")\n'
+            '#pragma GCC optimize ("-ffast-math")\n'
+            '__attribute__((optimize("fast-math"))) void f();\n'
+            '#pragma GCC optimize("O3")\n'
+            '// #pragma GCC optimize("fast-math")\n'
+            'const char* s = "#pragma GCC optimize fast-math";\n'))
+        proc = run_lint(self.root)
+        self.assertEqual(proc.returncode, 1)
+        # linalg/ is not exempt, and the options' string literals count.
+        self.assertEqual(proc.stdout.count("[no-fast-math]"), 3, proc.stdout)
+        for line in (1, 2, 3):
+            self.assertIn(f"k.cpp:{line}: [no-fast-math]", proc.stdout)
+
+        self.write("linalg/k.cpp", (
+            '#pragma GCC optimize("fast-math")  // lint:allow(no-fast-math)\n'))
+        proc = run_lint(self.root)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def write_db(self, entries: list[dict]) -> Path:
+        db = self.root.parent / "compile_commands.json"
+        db.write_text(json.dumps(entries), encoding="utf-8")
+        return db
+
+    def test_fast_math_compile_flags_flagged(self) -> None:
+        for name in ("a.cpp", "b.cpp", "c.cpp", "d.cpp"):
+            self.write(name, "int x;\n")
+        outside = self.root.parent / "tests" / "t.cpp"
+        outside.parent.mkdir()
+        outside.write_text("int y;\n", encoding="utf-8")
+        d = str(self.root.parent)
+        db = self.write_db([
+            {"directory": d, "file": "src/a.cpp",
+             "arguments": ["c++", "-O2", "-ffast-math", "-c", "src/a.cpp"]},
+            {"directory": d, "file": str(self.root / "b.cpp"),
+             "command": "c++ -Ofast -c src/b.cpp"},
+            {"directory": d, "file": "src/c.cpp",
+             "command": "c++ -O2 -ffp-contract=off -fno-fast-math -c src/c.cpp"},
+            {"directory": d, "file": "src/d.cpp",
+             "arguments": ["c++", "-fassociative-math", "-freciprocal-math",
+                           "-funsafe-math-optimizations", "-c", "src/d.cpp"]},
+            {"directory": d, "file": "tests/t.cpp",
+             "command": "c++ -ffast-math -c tests/t.cpp"},
+        ])
+        # Without the database only the sources are read: clean.
+        proc = run_lint(self.root)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+        proc = run_lint(self.root, "--compile-commands", str(db))
+        self.assertEqual(proc.returncode, 1)
+        self.assertEqual(proc.stdout.count("[no-fast-math]"), 5, proc.stdout)
+        self.assertIn("a.cpp:1: [no-fast-math] compiled with -ffast-math",
+                      proc.stdout)
+        self.assertIn("b.cpp:1: [no-fast-math] compiled with -Ofast",
+                      proc.stdout)
+        self.assertEqual(proc.stdout.count("d.cpp:1: [no-fast-math]"), 3)
+        self.assertNotIn("c.cpp", proc.stdout)
+        self.assertNotIn("t.cpp", proc.stdout)  # outside the lint root
+
+    def test_unreadable_compile_commands_is_a_usage_error(self) -> None:
+        self.write("a.cpp", "int x;\n")
+        proc = run_lint(self.root, "--compile-commands",
+                        str(self.root.parent / "missing.json"))
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("cannot read", proc.stderr)
 
 
 if __name__ == "__main__":
